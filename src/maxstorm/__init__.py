@@ -38,7 +38,6 @@ from .geometry import (
     fibonacci_sphere,
     rotation_matrix,
     square_grid,
-    translate,
 )
 from .inference import (
     FitOptions,
@@ -54,18 +53,12 @@ from .inference import (
 )
 from .point_process import (
     IntegerPoissonSample,
-    PlanarPoissonSample,
-    Rectangle,
     SeededStream,
-    StormSequence,
     sample_integer_poisson,
-    sample_planar_poisson,
-    sample_storm_intensities,
 )
 from .spacetime import (
     MarkovParams,
     SpaceTimeField,
-    TemporalKernelParams,
     finite_dim_neg_log_cdf,
     simulate_markov_planar,
     simulate_markov_sphere,
@@ -104,9 +97,7 @@ __all__ = [
     "MaxstormError",
     "NumericalError",
     "PairWeights",
-    "PlanarPoissonSample",
     "PlanarSite",
-    "Rectangle",
     "ReplicateRecord",
     "ResourceError",
     "RotationSpec",
@@ -118,11 +109,9 @@ __all__ = [
     "SpaceTimeField",
     "SpatialField",
     "SphereSite",
-    "StormSequence",
     "StudyConfig",
     "StudyResult",
     "StudySummaryRow",
-    "TemporalKernelParams",
     "ThetaVector",
     "ValidationError",
     "VmfParams",
@@ -147,8 +136,6 @@ __all__ = [
     "rotation_matrix",
     "run_study",
     "sample_integer_poisson",
-    "sample_planar_poisson",
-    "sample_storm_intensities",
     "simulate_markov_planar",
     "simulate_markov_sphere",
     "simulate_schlather",
@@ -159,7 +146,6 @@ __all__ = [
     "spatial_pairwise_loglik",
     "square_grid",
     "theta_to_madogram",
-    "translate",
     "truncated_moving_max",
     "vmf_density",
     "write_field",

@@ -1,9 +1,10 @@
 """Coordinate arithmetic on the plane and the unit sphere.
 
-Planar sites move by translation, spherical sites by rotation about a fixed
-axis.  Both operations realize the one-step space shift of the Markovian
-field models, so they are kept deliberately small and pure: immutable value
-types plus a handful of vectorized helpers.  Angles are radians everywhere.
+Planar sites move by translation (a plain coordinate subtraction in the
+recursion), spherical sites by rotation about a fixed axis.  Both realize
+the one-step space shift of the Markovian field models, so the code here is
+kept deliberately small and pure: immutable value types plus a handful of
+vectorized helpers.  Angles are radians everywhere.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "RotationSpec",
     "SiteSet",
     "rotation_matrix",
-    "translate",
-    "translate_coords",
     "unit_vector",
     "cross_product_matrix",
     "square_grid",
@@ -153,24 +152,6 @@ def rotation_matrix(spec: RotationSpec, steps: float = 1.0) -> np.ndarray:
     angle = spec.angle * steps
     c, s = math.cos(angle), math.sin(angle)
     return c * np.eye(3) + s * cross_product_matrix(u) + (1.0 - c) * np.outer(u, u)
-
-
-def translate(x: PlanarSite, lag: float, tau: np.ndarray) -> PlanarSite:
-    """Shift a planar site by ``-lag * tau``.
-
-    The sign convention matches the space operator of the planar model: the
-    site observed ``lag`` steps later sits at ``x - lag * tau``.
-    """
-    _require_finite("lag", lag)
-    tau = np.asarray(tau, dtype=float)
-    _require_finite("tau component", *tau.tolist())
-    return PlanarSite(x.x1 - lag * float(tau[0]), x.x2 - lag * float(tau[1]))
-
-
-def translate_coords(coords: np.ndarray, lag: float, tau: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`translate` over an ``(M, 2)`` coordinate array."""
-    coords = np.asarray(coords, dtype=float)
-    return coords - lag * np.asarray(tau, dtype=float)
 
 
 @dataclass(frozen=True)

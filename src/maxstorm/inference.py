@@ -36,7 +36,7 @@ from scipy.special import ndtr
 from .errors import DegeneratePairError, NumericalError, ValidationError
 from .geometry import PlanarSite
 from .spacetime import MarkovParams, SpaceTimeField
-from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams
+from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, mahalanobis_distance
 
 __all__ = [
     "ThetaVector",
@@ -248,16 +248,6 @@ def _log_st_pair_density(
     return logf, n_floored
 
 
-def _mahalanobis_batch(dx: np.ndarray, params: SmithParams) -> np.ndarray:
-    si = params.sigma_inv
-    q = (
-        si[0, 0] * dx[..., 0] ** 2
-        + 2.0 * si[0, 1] * dx[..., 0] * dx[..., 1]
-        + si[1, 1] * dx[..., 1] ** 2
-    )
-    return np.sqrt(np.maximum(q, 0.0))
-
-
 def bivariate_density(
     z1: float,
     z2: float,
@@ -281,7 +271,7 @@ def bivariate_density(
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1
     tau = theta.markov.tau_array()
-    h1 = float(_mahalanobis_batch(c2 - lag * tau - c1, theta.smith))
+    h1 = float(mahalanobis_distance(c2 - lag * tau - c1, theta.smith))
     if lag == 0 and h1 < H_COMPLETE_DEP:
         raise DegeneratePairError(
             f"pair at date {t1} with sites {c1.tolist()} and {c2.tolist()} "
@@ -364,7 +354,7 @@ def _blocked_sum(terms: np.ndarray) -> float:
 
 def _eval_st_loglik(prepared: _PreparedPairs, theta: ThetaVector) -> float:
     alag = theta.a ** prepared.lag
-    h1 = _mahalanobis_batch(
+    h1 = mahalanobis_distance(
         prepared.dx - prepared.lag[:, None] * theta.markov.tau_array(), theta.smith
     )
     logf, n_floored = _log_st_pair_density(prepared.z1, prepared.z2, alag, h1)
@@ -423,7 +413,7 @@ def _prepare_spatial_pairs(
 
 
 def _eval_spatial_loglik(prepared: _PreparedSpatialPairs, sigma: SmithParams) -> float:
-    h = _mahalanobis_batch(prepared.dx, sigma)
+    h = mahalanobis_distance(prepared.dx, sigma)
     if np.any(h < H_COMPLETE_DEP):
         bad = int(np.argmax(h < H_COMPLETE_DEP))
         raise DegeneratePairError(
@@ -703,6 +693,15 @@ def _temporal_start_candidates(
     return starts
 
 
+# An estimate of ``a`` this close to 0 or 1 sits at the ``_expit`` clamp,
+# not at an interior maximum, so the fit does not report convergence.
+_A_BOUNDARY_TOL = 1e-9
+
+
+def _a_is_interior(a: float) -> bool:
+    return _A_BOUNDARY_TOL < a < 1.0 - _A_BOUNDARY_TOL
+
+
 def fit_scheme1(
     data: SpaceTimeField,
     init: ThetaVector,
@@ -715,7 +714,8 @@ def fit_scheme1(
     entries (log-Cholesky parametrization); stage two holds the covariance
     fixed and maximizes the full space-time objective over the coefficient
     (logit) and translation (unconstrained).  The reported log likelihood
-    is the space-time objective at the combined estimate.
+    is the space-time objective at the combined estimate.  An estimate of
+    ``a`` stuck at the clamp of 0 or 1 reports ``converged=False``.
     """
     opts = options or FitOptions()
     w = weights if weights is not None else _build_weights(data, opts)
@@ -757,7 +757,7 @@ def fit_scheme1(
         loglik=-stage2.fval,
         n_pairs=st_prep.n_terms,
         iterations=stage1.n_evals + sum(r.n_evals for r in runs),
-        converged=stage1.converged and stage2.converged,
+        converged=stage1.converged and stage2.converged and _a_is_interior(theta_hat.a),
         scheme=1,
     )
 
@@ -768,7 +768,11 @@ def fit_scheme2(
     options: FitOptions | None = None,
     weights: PairWeights | None = None,
 ) -> FitReport:
-    """Joint fit: one six-parameter maximization of the space-time objective."""
+    """Joint fit: one six-parameter maximization of the space-time objective.
+
+    As in :func:`fit_scheme1`, an estimate of ``a`` stuck at the clamp of 0
+    or 1 reports ``converged=False``.
+    """
     opts = options or FitOptions()
     w = weights if weights is not None else _build_weights(data, opts)
     st_prep = _prepare_st_pairs(data, w)
@@ -789,11 +793,12 @@ def fit_scheme2(
         for a0, t1, t2 in starts
     ]
     report = min(runs, key=lambda r: r.fval)
+    theta_hat = ThetaVector.from_array(report.x)
     return FitReport(
-        theta_hat=ThetaVector.from_array(report.x),
+        theta_hat=theta_hat,
         loglik=-report.fval,
         n_pairs=st_prep.n_terms,
         iterations=sum(r.n_evals for r in runs),
-        converged=report.converged,
+        converged=report.converged and _a_is_interior(theta_hat.a),
         scheme=2,
     )

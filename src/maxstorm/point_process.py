@@ -1,35 +1,28 @@
-"""Poisson building blocks for the spectral constructions.
-
-Three samplers live here: the decreasing storm-intensity sequence
-``U_i = 1 / P_i`` with ``P_i`` partial sums of unit exponentials, homogeneous
-planar Poisson samples on rectangular windows (storm centers), and the
-integer-time process with one Poisson(1) count per integer.
+"""Seeded random streams and the integer-time Poisson process.
 
 Randomness flows through :class:`SeededStream`, a value object naming a
 counter-based generator.  Identical ``(seed, stream_id, path)`` reproduce
 identical draws bit for bit, and child streams derived for dates or
 replicates are independent of consumption order, which keeps parallel Monte
 Carlo runs deterministic.
+
+Also here: the integer-time process with one Poisson(1) count per integer,
+and the storm cap shared by the spatial simulators.  The decreasing storm
+intensities ``U_i = 1 / P_i`` and the storm centers are drawn inside the
+one storm kernel of :mod:`maxstorm.spatial`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
-from .geometry import PlanarSite
+from .errors import ValidationError
 
 __all__ = [
     "SeededStream",
-    "StormSequence",
-    "PlanarPoissonSample",
     "IntegerPoissonSample",
-    "Rectangle",
-    "sample_storm_intensities",
-    "sample_planar_poisson",
     "sample_integer_poisson",
     "STORM_CAP",
 ]
@@ -81,69 +74,6 @@ class SeededStream:
 
 
 @dataclass(frozen=True)
-class StormSequence:
-    """Strictly decreasing positive storm intensities ``U_1 > U_2 > ...``."""
-
-    intensities: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.intensities, dtype=float)
-        if u.ndim != 1:
-            raise ValidationError("intensities must be a 1-d array")
-        if u.size and (not np.all(u > 0) or not np.all(np.diff(u) < 0)):
-            raise ValidationError("intensities must be positive and strictly decreasing")
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "intensities", u)
-
-    @property
-    def count(self) -> int:
-        return int(self.intensities.size)
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned planar window given by lower-left and upper-right corners."""
-
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        for c in (*self.lo, *self.hi):
-            if not math.isfinite(c):
-                raise ValidationError(f"window corner must be finite, got {c!r}")
-        if not (self.hi[0] > self.lo[0] and self.hi[1] > self.lo[1]):
-            raise ValidationError(
-                f"window must have positive area, got lo={self.lo} hi={self.hi}"
-            )
-
-    @property
-    def area(self) -> float:
-        return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
-
-
-@dataclass(frozen=True)
-class PlanarPoissonSample:
-    """Points of a homogeneous planar Poisson draw with their window."""
-
-    points: tuple[PlanarSite, ...]
-    window: Rectangle
-
-    def __post_init__(self) -> None:
-        for p in self.points:
-            inside = (
-                self.window.lo[0] <= p.x1 <= self.window.hi[0]
-                and self.window.lo[1] <= p.x2 <= self.window.hi[1]
-            )
-            if not inside:
-                raise ValidationError(f"point {p} outside window {self.window}")
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class IntegerPoissonSample:
     """Per-integer unit-Poisson counts over a finite integer interval."""
 
@@ -157,72 +87,6 @@ class IntegerPoissonSample:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def sample_storm_intensities(
-    stream: SeededStream,
-    stop_threshold: float,
-    cap: int = STORM_CAP,
-) -> StormSequence:
-    """Sample the decreasing intensity sequence down to ``stop_threshold``.
-
-    Partial sums ``P_i`` of unit exponentials give ``U_i = 1 / P_i``; all
-    intensities at or above ``stop_threshold`` are returned, everything
-    smaller is discarded.  The kept count is Poisson with mean
-    ``1 / stop_threshold``, so thresholds above the first draw yield an
-    empty sequence.
-
-    Raises
-    ------
-    ResourceError
-        If more than ``cap`` intensities would be kept.
-    """
-    if not (stop_threshold > 0 and math.isfinite(stop_threshold)):
-        raise ValidationError(f"stop_threshold must be positive, got {stop_threshold!r}")
-    if 1.0 / stop_threshold > 4.0 * cap:
-        # Expected count alone already dwarfs the cap; refuse up front.
-        raise ResourceError(
-            f"stop_threshold {stop_threshold:g} implies ~{1.0 / stop_threshold:.3g} "
-            f"storms, above cap {cap}"
-        )
-    rng = stream.generator()
-    p_stop = 1.0 / stop_threshold
-    chunks: list[np.ndarray] = []
-    total = 0
-    p_last = 0.0
-    block = 64
-    while True:
-        p = p_last + np.cumsum(rng.exponential(size=block))
-        p_last = float(p[-1])
-        kept = p[p <= p_stop]
-        chunks.append(kept)
-        total += kept.size
-        if total > cap:
-            raise ResourceError(
-                f"storm count exceeded cap {cap} before reaching threshold "
-                f"{stop_threshold:g}"
-            )
-        if p_last > p_stop:
-            break
-        block = min(block * 2, 65536)
-    p_all = np.concatenate(chunks)
-    return StormSequence(1.0 / p_all if p_all.size else np.empty(0))
-
-
-def sample_planar_poisson(
-    stream: SeededStream,
-    window: Rectangle,
-    rate: float,
-) -> PlanarPoissonSample:
-    """Homogeneous Poisson sample: Poisson(rate * area) iid-uniform points."""
-    if not (rate >= 0 and math.isfinite(rate)):
-        raise ValidationError(f"rate must be non-negative, got {rate!r}")
-    rng = stream.generator()
-    n = int(rng.poisson(rate * window.area))
-    xs = rng.uniform(window.lo[0], window.hi[0], size=n)
-    ys = rng.uniform(window.lo[1], window.hi[1], size=n)
-    points = tuple(PlanarSite(float(x), float(y)) for x, y in zip(xs, ys))
-    return PlanarPoissonSample(points, window)
 
 
 def sample_integer_poisson(

@@ -39,7 +39,6 @@ from .spatial import (
 
 __all__ = [
     "MarkovParams",
-    "TemporalKernelParams",
     "SpaceTimeField",
     "MarkovInternals",
     "simulate_markov_planar",
@@ -75,55 +74,6 @@ class MarkovParams:
         if self.tau is None:
             raise ValidationError("planar translation parameters required")
         return np.array(self.tau, dtype=float)
-
-
-@dataclass(frozen=True)
-class TemporalKernelParams:
-    """Temporal mixing weights and the autoregression coefficient they imply.
-
-    ``exponential-rate`` mode uses the density ``nu * exp(-nu t)`` on
-    ``t >= 0`` and implies ``a = exp(-nu)``; ``geometric-phi`` mode uses the
-    weights ``(1 - phi) * phi**t`` on integer ``t >= 0`` and implies
-    ``a = phi``.
-    """
-
-    mode: str
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.mode == "exponential-rate":
-            if not (math.isfinite(self.value) and self.value > 0):
-                raise ValidationError(f"rate must be positive, got {self.value!r}")
-        elif self.mode == "geometric-phi":
-            if not (math.isfinite(self.value) and 0 < self.value < 1):
-                raise ValidationError(f"phi must lie in (0, 1), got {self.value!r}")
-        else:
-            raise ValidationError(
-                f"mode must be 'exponential-rate' or 'geometric-phi', got {self.mode!r}"
-            )
-
-    @classmethod
-    def exponential(cls, nu: float) -> "TemporalKernelParams":
-        return cls("exponential-rate", float(nu))
-
-    @classmethod
-    def geometric(cls, phi: float) -> "TemporalKernelParams":
-        return cls("geometric-phi", float(phi))
-
-    @property
-    def a(self) -> float:
-        if self.mode == "exponential-rate":
-            return math.exp(-self.value)
-        return self.value
-
-    def weight(self, t: float) -> float:
-        if t < 0:
-            return 0.0
-        if self.mode == "exponential-rate":
-            return self.value * math.exp(-self.value * t)
-        if t != int(t):
-            return 0.0
-        return (1.0 - self.value) * self.value ** int(t)
 
 
 @dataclass(frozen=True)

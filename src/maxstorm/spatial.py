@@ -9,6 +9,11 @@ Three max-stable innovation models are simulated at finite site sets:
   by nature, used for figures, never for likelihood work);
 * von Mises-Fisher storms on the unit sphere.
 
+All three are one spectral construction: the pointwise maximum of
+``U_i * shape_i(x)`` over the Poisson intensities ``U_i = area / P_i``, with
+``P_i`` partial sums of unit exponentials.  One private kernel,
+:func:`_storm_maxima`, runs that loop for every model; a model supplies only
+its random shape and the shape supremum that makes the stopping rule sound.
 Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
 (Smith, sphere) and approximately so for Schlather.
@@ -24,6 +29,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -175,30 +181,69 @@ def _as_planar_coords(x: PlanarSite | np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _quadratic_form(dx: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
+    """``dx' Sigma^{-1} dx`` over the last axis of ``(..., 2)`` offsets."""
+    si = sigma_inv
+    return (
+        si[0, 0] * dx[..., 0] ** 2
+        + 2.0 * si[0, 1] * dx[..., 0] * dx[..., 1]
+        + si[1, 1] * dx[..., 1] ** 2
+    )
+
+
 def gaussian_density_2d(x: PlanarSite | np.ndarray, params: SmithParams) -> float | np.ndarray:
     """Centered bivariate Gaussian density, vectorized over ``(..., 2)`` input."""
-    xs = _as_planar_coords(x)
-    si = params.sigma_inv
-    q = (
-        si[0, 0] * xs[..., 0] ** 2
-        + 2.0 * si[0, 1] * xs[..., 0] * xs[..., 1]
-        + si[1, 1] * xs[..., 1] ** 2
-    )
-    out = np.exp(-0.5 * q) * (INV_TWO_PI / math.sqrt(params.det))
+    q = _quadratic_form(_as_planar_coords(x), params.sigma_inv)
+    out = np.exp(-0.5 * q) * params.density_bound
     return float(out) if out.ndim == 0 else out
 
 
 def mahalanobis_distance(dx: np.ndarray, params: SmithParams) -> float | np.ndarray:
     """``sqrt(dx' Sigma^{-1} dx)``, vectorized over ``(..., 2)`` input."""
-    dx = np.asarray(dx, dtype=float)
-    si = params.sigma_inv
-    q = (
-        si[0, 0] * dx[..., 0] ** 2
-        + 2.0 * si[0, 1] * dx[..., 0] * dx[..., 1]
-        + si[1, 1] * dx[..., 1] ** 2
-    )
+    q = _quadratic_form(np.asarray(dx, dtype=float), params.sigma_inv)
     out = np.sqrt(np.maximum(q, 0.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _storm_maxima(
+    rng: np.random.Generator,
+    n_entries: int,
+    shapes: Callable[[np.random.Generator, int], np.ndarray],
+    area: float,
+    sup: float,
+    limit: int,
+    max_block: int = 65536,
+) -> tuple[np.ndarray, int, bool, float]:
+    """Running maximum of ``U_i * shape_i`` over a Poisson storm sequence.
+
+    Intensities ``U_i = area / P_i`` are drawn in doubling blocks, each
+    block's exponentials first; ``shapes(rng, b)`` then draws the block's
+    ``(b, n_entries)`` shape values.  Since the intensities decrease, once
+    ``U_last * sup`` falls below the running minimum over entries no later
+    storm can change any value and the loop stops.  Storms past the stopping
+    index inside the final block are legitimate points of the process, so
+    applying them is harmless.  At most ``limit`` storms are drawn.
+
+    Returns the values, the storms drawn, whether the stopping rule fired,
+    and the last intensity drawn.
+    """
+    values = np.zeros(n_entries)
+    p_last = 0.0
+    used = 0
+    block = 64
+    stopped = False
+    while used < limit:
+        b = min(block, limit - used)
+        p = p_last + np.cumsum(rng.exponential(size=b))
+        p_last = float(p[-1])
+        u = area / p
+        np.maximum(values, (u[:, None] * shapes(rng, b)).max(axis=0), out=values)
+        used += b
+        if u[-1] * sup < values.min():
+            stopped = True
+            break
+        block = min(block * 2, max_block)
+    return values, used, stopped, area / p_last
 
 
 def _smith_values(
@@ -210,46 +255,29 @@ def _smith_values(
 ) -> tuple[np.ndarray, int]:
     """Exact Smith sample at ``coords`` via windowed storm generation.
 
-    Storms are drawn in growing blocks; the decreasing intensities make the
-    stopping rule sound: once ``U_i`` times the shape supremum falls below
-    the running minimum over sites, no later storm can change any value.
-    Storms past the stopping index inside the final block are legitimate
-    points of the process, so applying them is harmless.
+    Storm centers are uniform on the bounding box of ``coords`` widened by
+    the buffer radius, so at most ``eps_tail`` of any site's scale leaks.
     """
     r_buf = params.buffer_radius(eps_tail)
     lo = coords.min(axis=0) - r_buf
     hi = coords.max(axis=0) + r_buf
     area = float(np.prod(hi - lo))
-    h_max = params.density_bound
     si = params.sigma_inv
-    norm = INV_TWO_PI / math.sqrt(params.det)
+    norm = params.density_bound
 
-    values = np.zeros(coords.shape[0])
-    p_last = 0.0
-    n_storms = 0
-    block = 64
-    while True:
-        p = p_last + np.cumsum(rng.exponential(size=block))
-        p_last = float(p[-1])
-        u = area / p
-        centers = rng.uniform(lo, hi, size=(block, 2))
-        d = coords[None, :, :] - centers[:, None, :]
-        q = (
-            si[0, 0] * d[..., 0] ** 2
-            + 2.0 * si[0, 1] * d[..., 0] * d[..., 1]
-            + si[1, 1] * d[..., 1] ** 2
+    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
+        centers = rng.uniform(lo, hi, size=(b, 2))
+        q = _quadratic_form(coords[None, :, :] - centers[:, None, :], si)
+        return norm * np.exp(-0.5 * q)
+
+    values, n_storms, stopped, _ = _storm_maxima(
+        rng, coords.shape[0], shapes, area, norm, cap
+    )
+    if not stopped:
+        raise ResourceError(
+            f"storm count exceeded cap {cap} before the stopping rule fired "
+            f"(window area {area:.3g})"
         )
-        contrib = u[:, None] * (norm * np.exp(-0.5 * q))
-        np.maximum(values, contrib.max(axis=0), out=values)
-        n_storms += block
-        if u[-1] * h_max < values.min():
-            break
-        if n_storms >= cap:
-            raise ResourceError(
-                f"storm count exceeded cap {cap} before the stopping rule fired "
-                f"(window area {area:.3g})"
-            )
-        block = min(block * 2, 65536)
     return values, n_storms
 
 
@@ -368,30 +396,17 @@ def simulate_schlather(
     chol = _cholesky_with_jitter(corr, unique)
     _warn_schlather_envelope(k, b_max)
 
-    rng = stream.generator()
-    values = np.zeros(k)
-    envelope = SQRT_TWO_PI * b_max
-    p_last = 0.0
-    used = 0
-    block = 64
-    stopped_early = False
-    while used < n_storms:
-        b = min(block, n_storms - used)
-        p = p_last + np.cumsum(rng.exponential(size=b))
-        p_last = float(p[-1])
-        u = 1.0 / p
+    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
         eps = chol @ rng.standard_normal(size=(k, b))
-        contrib = u[None, :] * (SQRT_TWO_PI * np.clip(eps, 0.0, None))
-        np.maximum(values, contrib.max(axis=1), out=values)
-        used += b
-        if u[-1] * envelope < values.min():
-            stopped_early = True
-            break
-        block = min(block * 2, 8192)
+        return (SQRT_TWO_PI * np.clip(eps, 0.0, None)).T
+
+    values, used, stopped_early, u_last = _storm_maxima(
+        stream.generator(), k, shapes, 1.0, SQRT_TWO_PI * b_max, n_storms, max_block=8192
+    )
     # A site every storm missed (all eps <= 0 there) would stay at zero;
     # give it the largest value consistent with the stopping rule instead of
     # emitting an invalid non-positive field.
-    floor = (1.0 / p_last) * 1e-12
+    floor = u_last * 1e-12
     values = np.maximum(values, floor)
     meta = {"n_storms": used, "stopped_early": stopped_early}
     return SpatialField(sites, values[inverse], meta)
@@ -405,6 +420,13 @@ def _kappa_over_sinh(kappa: float) -> float:
     return 2.0 * kappa * math.exp(-kappa) / (-math.expm1(-2.0 * kappa))
 
 
+def _vmf_shape(dot: np.ndarray, kappa: float) -> np.ndarray:
+    """Von Mises-Fisher density at cosine ``dot`` from the mean direction."""
+    if kappa < _KAPPA_SERIES_CUTOFF:
+        return _kappa_over_sinh(kappa) / (4.0 * math.pi) * np.exp(kappa * dot)
+    return kappa * np.exp(kappa * (dot - 1.0)) / (2.0 * math.pi * (-math.expm1(-2.0 * kappa)))
+
+
 def vmf_density(x: SphereSite | np.ndarray, mu: SphereSite | np.ndarray, params: VmfParams) -> float | np.ndarray:
     """Von Mises-Fisher density on the unit sphere, vectorized over ``x``.
 
@@ -415,14 +437,7 @@ def vmf_density(x: SphereSite | np.ndarray, mu: SphereSite | np.ndarray, params:
     """
     xv = x.as_array() if isinstance(x, SphereSite) else np.asarray(x, dtype=float)
     mv = mu.as_array() if isinstance(mu, SphereSite) else np.asarray(mu, dtype=float)
-    kappa = params.kappa
-    dot = xv @ mv if xv.ndim == 1 else xv @ mv
-    if kappa < _KAPPA_SERIES_CUTOFF:
-        out = _kappa_over_sinh(kappa) * np.exp(kappa * np.asarray(dot)) / (4.0 * math.pi)
-    else:
-        denom = 2.0 * math.pi * (-math.expm1(-2.0 * kappa))
-        out = kappa * np.exp(kappa * (np.asarray(dot) - 1.0)) / denom
-    out = np.asarray(out)
+    out = np.asarray(_vmf_shape(np.asarray(xv @ mv), params.kappa))
     return float(out) if out.ndim == 0 else out
 
 
@@ -441,34 +456,17 @@ def _vmf_values(
     cap: int,
 ) -> tuple[np.ndarray, int]:
     """Exact spherical storm sample; centers uniform, total rate 4*pi."""
-    kappa = params.kappa
-    f_max = vmf_density_bound(params)
-    area = 4.0 * math.pi
-    if kappa < _KAPPA_SERIES_CUTOFF:
-        series = _kappa_over_sinh(kappa) / (4.0 * math.pi)
-    values = np.zeros(coords.shape[0])
-    p_last = 0.0
-    n_storms = 0
-    block = 64
-    while True:
-        p = p_last + np.cumsum(rng.exponential(size=block))
-        p_last = float(p[-1])
-        u = area / p
-        centers = rng.standard_normal(size=(block, 3))
+
+    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
+        centers = rng.standard_normal(size=(b, 3))
         centers /= np.linalg.norm(centers, axis=1)[:, None]
-        dot = centers @ coords.T
-        if kappa < _KAPPA_SERIES_CUTOFF:
-            dens = series * np.exp(kappa * dot)
-        else:
-            dens = kappa * np.exp(kappa * (dot - 1.0)) / (2.0 * math.pi * (-math.expm1(-2.0 * kappa)))
-        contrib = u[:, None] * dens
-        np.maximum(values, contrib.max(axis=0), out=values)
-        n_storms += block
-        if u[-1] * f_max < values.min():
-            break
-        if n_storms >= cap:
-            raise ResourceError(f"storm count exceeded cap {cap} on the sphere")
-        block = min(block * 2, 65536)
+        return _vmf_shape(centers @ coords.T, params.kappa)
+
+    values, n_storms, stopped, _ = _storm_maxima(
+        rng, coords.shape[0], shapes, 4.0 * math.pi, vmf_density_bound(params), cap
+    )
+    if not stopped:
+        raise ResourceError(f"storm count exceeded cap {cap} on the sphere")
     return values, n_storms
 
 

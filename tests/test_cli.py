@@ -88,6 +88,35 @@ def test_simulate_repeats_byte_identically(tmp_path, sim_config):
     assert (out1 / "field_meta.json").read_bytes() == (out2 / "field_meta.json").read_bytes()
 
 
+SCHLATHER_TOO_LARGE_INI = """
+[model]
+kind = schlather
+c1 = 3.0
+c2 = 1.0
+
+[temporal]
+a = 0.7
+tau = 0.37, 0.11
+
+[sites]
+layout = grid
+n_side = 20
+
+[run]
+n_dates = 11
+seed = 7
+"""
+
+
+def test_too_large_schlather_set_exits_with_resource_code(tmp_path, capsys):
+    # 400 sites shifted to 11 dates give 4,400 distinct points, above the
+    # dense-Cholesky cap; the run stops before drawing any storm.
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(SCHLATHER_TOO_LARGE_INI, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "dense-Cholesky cap" in capsys.readouterr().err
+
+
 def test_sphere_zero_concentration_constant_columns(tmp_path):
     cfg = tmp_path / "sphere.ini"
     cfg.write_text(SPHERE_INI, encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Sites, grids, rotations, and planar translation."""
+"""Sites, grids and rotations."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxstorm import (
-    PlanarSite,
     RotationSpec,
     SiteSet,
     SphereSite,
@@ -14,7 +13,6 @@ from maxstorm import (
     fibonacci_sphere,
     rotation_matrix,
     square_grid,
-    translate,
 )
 
 
@@ -64,20 +62,6 @@ class TestRotationMatrix:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValidationError):
             RotationSpec(1.0, (0.0, 0.0, 0.0))
-
-
-class TestTranslate:
-    def test_unit_lag_flips_sign_of_tau(self):
-        out = translate(PlanarSite(0.0, 0.0), 1.0, np.array([-1.0, -1.0]))
-        assert (out.x1, out.x2) == (1.0, 1.0)
-
-    def test_zero_lag_is_identity(self):
-        out = translate(PlanarSite(2.0, 3.0), 0.0, np.array([5.0, -7.0]))
-        assert (out.x1, out.x2) == (2.0, 3.0)
-
-    def test_three_steps_accumulate_linearly(self):
-        out = translate(PlanarSite(5.0, 5.0), 3.0, np.array([-1.0, -1.0]))
-        assert (out.x1, out.x2) == (8.0, 8.0)
 
 
 class TestSiteSets:

@@ -23,6 +23,7 @@ from maxstorm import (
     pairwise_loglik,
     simulate_markov_planar,
     spatial_pairwise_loglik,
+    square_grid,
 )
 from maxstorm.inference import (
     _sigma_transform,
@@ -286,6 +287,18 @@ class TestFits:
         # objective, so its optimum cannot fall meaningfully below the
         # two-stage estimate.
         assert r2.loglik >= r1.loglik - 1e-3 * abs(r1.loglik)
+
+    def test_coefficient_at_clamp_is_not_converged(self, smith_identity, markov_standard):
+        # On this lattice record scheme 1 runs a to the logit clamp (a = 1 - 1.9e-12);
+        # seed 1 gives an interior estimate (a = 0.50) that still converges.
+        init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        for seed, at_clamp in ((2, True), (1, False)):
+            data = simulate_markov_planar(
+                square_grid(4), 20, smith_identity, markov_standard, SeededStream(seed)
+            )
+            report = fit_scheme1(data, init)
+            assert (report.theta_hat.a > 1.0 - 1e-9) is at_clamp
+            assert report.converged is not at_clamp
 
     def test_report_counts_pairs(self):
         data = _sim(779, n_dates=5, n_sites=4)

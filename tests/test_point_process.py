@@ -1,17 +1,8 @@
-"""Seeded streams and the three point-process samplers."""
+"""Seeded streams and the integer-time Poisson sampler."""
 
 import numpy as np
-import pytest
 
-from maxstorm import (
-    Rectangle,
-    ResourceError,
-    SeededStream,
-    ValidationError,
-    sample_integer_poisson,
-    sample_planar_poisson,
-    sample_storm_intensities,
-)
+from maxstorm import SeededStream, sample_integer_poisson
 
 
 class TestSeededStream:
@@ -40,76 +31,6 @@ class TestSeededStream:
         b = root.child(1, 2).generator().uniform()
         assert a == b
         assert a != root.child(2).child(1).generator().uniform()
-
-
-class TestStormIntensities:
-    def test_intensities_strictly_decreasing(self):
-        seq = sample_storm_intensities(SeededStream(1), 0.01)
-        vals = seq.intensities
-        assert np.all(np.diff(vals) < 0)
-        assert np.all(vals >= 0.01)
-
-    def test_count_mean_matches_inverse_threshold(self):
-        # Number of arrivals above threshold u is Poisson(1/u).
-        counts = [
-            sample_storm_intensities(SeededStream(100 + i), 1.0).intensities.size
-            for i in range(10000)
-        ]
-        mean = np.mean(counts)
-        se = np.std(counts, ddof=1) / np.sqrt(len(counts))
-        assert abs(mean - 1.0) <= 3 * se
-
-    def test_first_intensity_is_frechet(self):
-        # First arrival is 1/Exp(1), standard Frechet; threshold 0.01 keeps it
-        # with probability 1 - e^{-100}.
-        draws = np.array([
-            sample_storm_intensities(SeededStream(20000 + i), 0.01).intensities[0]
-            for i in range(10000)
-        ])
-        for z in (0.5, 1.0, 2.0):
-            assert abs(np.mean(draws <= z) - np.exp(-1.0 / z)) < 0.02
-
-    def test_threshold_above_first_draw_gives_empty(self):
-        seq = sample_storm_intensities(SeededStream(1), 1e12)
-        assert seq.intensities.size == 0
-
-    def test_cap_exhaustion_raises_resource_error(self):
-        with pytest.raises(ResourceError):
-            sample_storm_intensities(SeededStream(1), 1e-9, cap=10)
-
-    def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_storm_intensities(SeededStream(1), 0.0)
-
-
-class TestPlanarPoisson:
-    def test_mean_count_matches_rate_times_area(self):
-        window = Rectangle((0.0, 0.0), (1.0, 1.0))
-        counts = [
-            len(sample_planar_poisson(SeededStream(i), window, 1.0).points)
-            for i in range(10000)
-        ]
-        mean = np.mean(counts)
-        se = np.std(counts, ddof=1) / np.sqrt(len(counts))
-        assert abs(mean - 1.0) <= 3 * se
-
-    def test_rate_zero_always_empty(self):
-        window = Rectangle((0.0, 0.0), (2.0, 2.0))
-        out = sample_planar_poisson(SeededStream(3), window, 0.0)
-        assert out.points == ()
-
-    def test_points_inside_window_and_marginally_uniform(self):
-        window = Rectangle((0.0, 0.0), (1.0, 1.0))
-        xs = []
-        for i in range(2000):
-            pts = sample_planar_poisson(SeededStream(50000 + i), window, 5.0).points
-            for p in pts:
-                assert 0.0 <= p.x1 <= 1.0 and 0.0 <= p.x2 <= 1.0
-            xs.extend(p.x1 for p in pts)
-        xs = np.sort(np.array(xs))
-        grid = (np.arange(xs.size) + 1) / xs.size
-        ks = np.max(np.abs(grid - xs))
-        assert ks < 0.02
 
 
 class TestIntegerPoisson:

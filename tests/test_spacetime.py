@@ -10,7 +10,6 @@ from maxstorm import (
     SeededStream,
     SiteSet,
     SmithParams,
-    TemporalKernelParams,
     ValidationError,
     VmfParams,
     fibonacci_sphere,
@@ -34,12 +33,6 @@ class TestMarkovParams:
             MarkovParams(0.5)
         with pytest.raises(ValidationError):
             MarkovParams(0.5, tau=(1.0, 0.0), rotation=RotationSpec(0.1, (0.0, 0.0, 1.0)))
-
-    def test_temporal_kernel_modes_imply_coefficient(self):
-        assert TemporalKernelParams.exponential(0.5).a == pytest.approx(np.exp(-0.5))
-        assert TemporalKernelParams.geometric(0.3).a == 0.3
-        with pytest.raises(ValidationError):
-            TemporalKernelParams("geometric-phi", 1.5)
 
 
 class TestPlanarRecursion:

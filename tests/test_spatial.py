@@ -7,6 +7,7 @@ from scipy.stats import kstest
 
 from maxstorm import (
     CapabilityError,
+    ResourceError,
     SchlatherParams,
     SeededStream,
     SiteSet,
@@ -101,6 +102,14 @@ class TestSimulateSmith:
         np.testing.assert_array_equal(a, b)
 
 
+    def test_storm_cap_raises_resource_error(self, smith_identity):
+        # 64 storms over a window this wide cannot cover both sites, so the
+        # stopping rule has not fired when the cap is reached.
+        sites = SiteSet.planar(np.array([[0.0, 0.0], [1000.0, 0.0]]))
+        with pytest.raises(ResourceError):
+            simulate_smith(sites, smith_identity, SeededStream(3), cap=64)
+
+
 class TestSchlather:
     def test_correlation_examples(self):
         p = SchlatherParams(3.0, 1.0)
@@ -126,6 +135,13 @@ class TestSchlather:
         ])
         ks = kstest(draws, lambda z: np.exp(-1.0 / np.maximum(z, 1e-12))).statistic
         assert ks <= 0.03
+
+    def test_storm_count_truncated_at_n_storms(self):
+        grid = SiteSet.planar(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
+        for n_storms in (1, 3):
+            out = simulate_schlather(grid, SchlatherParams(1.0, 1.0), SeededStream(8), n_storms)
+            assert out.meta["n_storms"] == n_storms
+            assert out.meta["stopped_early"] is False
 
     def test_duplicated_sites_share_values(self):
         sites = SiteSet.planar(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -183,6 +199,14 @@ class TestVmf:
         nu = 0.5 * np.mean(np.abs(u[:, 0] - u[:, 1]))
         theta = (1 + 2 * nu) / (1 - 2 * nu)
         assert abs(theta - 2.0) < 0.1
+
+
+    def test_storm_cap_raises_resource_error(self):
+        # Antipodal sites and sharply concentrated storms: 64 storms cannot
+        # lift both sites above the stopping threshold.
+        sites = SiteSet.sphere(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        with pytest.raises(ResourceError):
+            simulate_vmf_field(sites, VmfParams(1000.0), SeededStream(3), cap=64)
 
 
 class TestSmithExponent:
