@@ -208,12 +208,6 @@ class SiteSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def site(self, m: int) -> PlanarSite | SphereSite:
-        row = self.coords[m]
-        if self.kind == "planar":
-            return PlanarSite(float(row[0]), float(row[1]))
-        return SphereSite((float(row[0]), float(row[1]), float(row[2])))
-
 
 def square_grid(n_side: int, spacing: float = 1.0, origin: tuple[float, float] = (0.0, 0.0)) -> SiteSet:
     """Regular ``n_side x n_side`` planar grid, row-major from ``origin``."""

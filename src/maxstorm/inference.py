@@ -1,26 +1,34 @@
 """Pairwise-likelihood inference for the planar Smith-innovation model.
 
 The exact bivariate density of a space-time pair follows from
-differentiating the joint CDF: with ``l = t2 - t1``, ``h1`` the Mahalanobis
-length of ``x2 - l*tau - x1``, ``w1 = h1/2 + log(z2 / (a**l z1)) / h1`` and
-``v1 = h1 - w1``,
+differentiating the joint CDF ``exp(-V)``: with ``l = t2 - t1``, ``h`` the
+Mahalanobis length of ``x2 - l*tau - x1``, ``w = h/2 + log(z2 / (a**l z1)) / h``
+and ``v = h - w``, the pair exponent is
+``V = Phi(w)/z1 + a**l Phi(v)/z2 + (1 - a**l)/z2`` and
+``f = exp(-V) * (V_1 V_2 - V_12)``.  The Smith-type identity
+``a**l phi(v)/z2 = phi(w)/z1`` (``v**2 - w**2 = 2 log(a**l z1/z2)``) cancels
+every ``phi/h`` term of the first partials, leaving ``-V_1 = Phi(w)/z1**2``,
+``-V_2 = s/z2**2`` with ``s = a**l Phi(v) + 1 - a**l``, and
+``-V_12 = phi(w)/(h z1**2 z2)``, so that
 
-``f = exp(-Phi(w1)/z1 - a**l Phi(v1)/z2 - (1-a**l)/z2) * (A*B + C)``
+``log f = -Phi(w)/z1 - s/z2 + log(Phi(w) s/z2 + phi(w)/h) - 2 log z1 - log z2``
 
-where ``A`` and ``B`` are the negated first partials of the pair exponent
-and ``C`` its negated mixed partial.  Pairs aligned with the moving frame
-(``h1 = 0``) switch to the complete-dependence branch, whose absolutely
+(Padoan, Ribatet & Sisson, JASA 2010, use the same reduction for the
+spatial pair, ``a**l = 1``).  Pairs aligned with the moving frame
+(``h = 0``) switch to the complete-dependence branch, whose absolutely
 continuous part is an independent Frechet product on ``z2 > a**l z1`` and
 zero below.
 
 The composite objective sums ``log f`` over the quadruple index set pairing
 observation ``(t_i, x_k)`` with ``(t_j, x_l)`` for ``i < j`` and ``k < l``
 (strict on both, so same-date and same-site pairs never enter), optionally
-weighted.  Scheme 1 estimates the storm covariance from same-date pairs
-first and then the temporal parameters; Scheme 2 maximizes the full
-objective over all six parameters at once.  Optimization is a hand-rolled
-Nelder-Mead in transformed space (log-Cholesky for the covariance, logit
-for ``a``), derivative-free and bounded by an evaluation budget.
+weighted.  The parameter-free parts of every term are prepared once per
+dataset, and ``h`` and ``a**l`` once per distinct (lag, site pair).
+Scheme 1 estimates the storm covariance from same-date pairs first and then
+the temporal parameters; Scheme 2 maximizes the full objective over all six
+parameters at once.  Optimization is a hand-rolled Nelder-Mead in
+transformed space (log-Cholesky for the covariance, logit for ``a``),
+derivative-free and bounded by an evaluation budget.
 """
 
 from __future__ import annotations
@@ -185,66 +193,130 @@ class OptimizerReport:
     converged: bool
 
 
-def _log_st_pair_density(
+@dataclass(frozen=True)
+class _PreparedPairs:
+    """Static pair arrays of one objective, reused across evaluations.
+
+    The term arrays hold the observed pair values and what depends on them
+    alone: ``1/z1``, ``1/z2``, ``log_ratio = log(z2/z1)`` and
+    ``log_jac = -2 log z1 - log z2``.  ``row`` maps each term to its entry in the
+    table of distinct (lag, site pair) combinations among the kept terms;
+    ``lag`` and the site offset ``dx`` are per table row, and they are all
+    that the parameters act on.
+    """
+
+    z1: np.ndarray
+    z2: np.ndarray
+    inv_z1: np.ndarray
+    inv_z2: np.ndarray
+    log_ratio: np.ndarray
+    log_jac: np.ndarray
+    weight: np.ndarray
+    row: np.ndarray
+    lag: np.ndarray
+    dx: np.ndarray
+
+    @property
+    def n_terms(self) -> int:
+        return int(self.z1.size)
+
+
+def _prepared_pairs(
     z1: np.ndarray,
     z2: np.ndarray,
-    alag: np.ndarray,
-    h1: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Vectorized log density of space-time pairs; returns (logf, n_floored).
+    weight: np.ndarray,
+    key: np.ndarray,
+    lag: np.ndarray,
+    dx: np.ndarray,
+) -> _PreparedPairs:
+    """Drop zero-weight terms and build the distinct-pair table of the rest.
 
-    Everything is assembled in log space so a deeply negative exponent never
-    drags the bracket term down with it; the floor applies afterwards.
+    ``key`` indexes each term's (lag, site pair) into the candidate arrays
+    ``lag`` and ``dx``; only candidates some kept term uses become rows.
     """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    alag = np.asarray(alag, dtype=float)
-    h1 = np.asarray(h1, dtype=float)
-
-    degenerate = h1 < H_COMPLETE_DEP
-    h = np.where(degenerate, 1.0, h1)
-
-    w = 0.5 * h + np.log(z2 / (alag * z1)) / h
-    v = h - w
-    phi_w = np.exp(-0.5 * w * w) / SQRT_TWO_PI
-    phi_v = np.exp(-0.5 * v * v) / SQRT_TWO_PI
-    cdf_w = ndtr(w)
-    cdf_v = ndtr(v)
-
-    exponent = cdf_w / z1 + alag * cdf_v / z2 + (1.0 - alag) / z2
-    a_term = cdf_w / z1**2 + phi_w / (h * z1**2) - alag * phi_v / (h * z1 * z2)
-    b_term = (
-        alag * cdf_v / z2**2
-        + alag * phi_v / (h * z2**2)
-        - phi_w / (h * z1 * z2)
-        + (1.0 - alag) / z2**2
+    keep = weight > 0
+    if not keep.any():
+        raise ValidationError("all pair weights are zero; nothing to sum")
+    if not keep.all():
+        z1, z2, weight, key = z1[keep], z2[keep], weight[keep], key[keep]
+    used = np.zeros(lag.size, dtype=bool)
+    used[key] = True
+    row = (np.cumsum(used) - 1)[key]
+    return _PreparedPairs(
+        z1=z1,
+        z2=z2,
+        inv_z1=1.0 / z1,
+        inv_z2=1.0 / z2,
+        log_ratio=np.log(z2 / z1),
+        log_jac=-2.0 * np.log(z1) - np.log(z2),
+        weight=weight,
+        row=row,
+        lag=lag[used],
+        dx=dx[used],
     )
-    c_term = v * phi_w / (h**2 * z1**2 * z2) + alag * w * phi_v / (h**2 * z1 * z2**2)
-    bracket = a_term * b_term + c_term
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_smooth = -exponent + np.log(np.maximum(bracket, 0.0))
 
-    # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W independent
-    # Frechet, so the absolutely continuous part is a product on
-    # z2 > a**l z1 and zero at or below the singular line.
-    residual = 1.0 - alag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_product = (
-            -2.0 * np.log(z1)
-            - 1.0 / z1
-            + np.log(np.maximum(residual, 0.0))
-            - 2.0 * np.log(z2)
-            - residual / z2
-        )
-    log_deg = np.where(z2 > alag * z1, log_product, -np.inf)
 
-    logf = np.where(degenerate, log_deg, log_smooth)
-    if np.any(np.isnan(logf)):
-        bad = int(np.argmax(np.isnan(np.atleast_1d(logf))))
+def _log_pair_density(
+    pairs: _PreparedPairs, h: np.ndarray, a: float
+) -> tuple[np.ndarray, int]:
+    """Log density of every pair term; returns (logf, n_floored).
+
+    ``h`` is the Mahalanobis length of ``dx - lag*tau`` per table row and
+    ``a`` the coefficient (1 for same-date pairs).  With ``c = lag*log a``,
+    ``w = h/2 + (log(z2/z1) - c)/h``, ``v = h - w`` and
+    ``s = a**lag Phi(v) + 1 - a**lag``, the density is
+
+    ``log f = -Phi(w)/z1 - s/z2 + log(Phi(w) s/z2 + phi(w)/h) - 2 log z1 - log z2``.
+
+    This is ``exp(-V) (V_1 V_2 - V_12)`` after the identity
+    ``a**lag phi(v)/z2 = phi(w)/z1`` has cancelled the ``phi/h`` terms of
+    the first partials, so no difference of large numbers is formed at
+    small ``h``.  Each term costs one ``exp``, two ``ndtr`` and one
+    ``log``; everything per row is computed once on the table and
+    gathered.  Rows with ``h`` below ``H_COMPLETE_DEP`` lie on the moving
+    frame and take the complete-dependence branch; the floor applies last.
+    """
+    alag = a**pairs.lag
+    degenerate = h < H_COMPLETE_DEP
+    h = np.where(degenerate, 1.0, h)
+    inv_h = 1.0 / h
+    c_over_h = pairs.lag * math.log(a) * inv_h
+    per_row = np.array([inv_h, 0.5 * h - c_over_h, 0.5 * h + c_over_h, alag, 1.0 - alag])
+    # One gather; w and v still lack their log(z2/z1)/h part.
+    inv_h_t, w, v, alag_t, residual_t = per_row.take(pairs.row, axis=1)
+    shift = pairs.log_ratio * inv_h_t
+    w += shift
+    v -= shift
+    cdf_w = ndtr(w)
+    s_over_z2 = (alag_t * ndtr(v) + residual_t) * pairs.inv_z2
+    pdf_w_over_h = np.exp(-0.5 * w * w) * inv_h_t / SQRT_TWO_PI
+    with np.errstate(divide="ignore"):
+        logf = np.log(cdf_w * s_over_z2 + pdf_w_over_h)
+    logf -= cdf_w * pairs.inv_z1 + s_over_z2 - pairs.log_jac
+
+    if degenerate.any():
+        # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W independent
+        # Frechet, so the absolutely continuous part is a product on
+        # z2 > a**l z1 and zero at or below the singular line.
+        idx = np.flatnonzero(degenerate[pairs.row])
+        z1, z2 = pairs.z1[idx], pairs.z2[idx]
+        residual = residual_t[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_product = (
+                pairs.log_jac[idx]
+                - np.log(z2)
+                - pairs.inv_z1[idx]
+                + np.log(np.maximum(residual, 0.0))
+                - residual * pairs.inv_z2[idx]
+            )
+        logf[idx] = np.where(z2 > alag_t[idx] * z1, log_product, -np.inf)
+
+    nan = np.isnan(logf)
+    if nan.any():
+        bad = int(np.argmax(nan))
         raise NumericalError(f"log density is NaN at pair index {bad}")
-    floored = logf < _LOG_FLOOR
-    n_floored = int(np.count_nonzero(floored))
-    logf = np.where(floored, _LOG_FLOOR, logf)
+    n_floored = int(np.count_nonzero(logf < _LOG_FLOOR))
+    np.maximum(logf, _LOG_FLOOR, out=logf)
     return logf, n_floored
 
 
@@ -277,26 +349,16 @@ def bivariate_density(
             f"pair at date {t1} with sites {c1.tolist()} and {c2.tolist()} "
             "coincides; no absolutely continuous density exists"
         )
-    alag = theta.a ** lag
-    logf, _ = _log_st_pair_density(
-        np.asarray(z1), np.asarray(z2), np.asarray(alag), np.asarray(h1)
+    pairs = _prepared_pairs(
+        np.array([z1], dtype=float),
+        np.array([z2], dtype=float),
+        np.ones(1),
+        np.zeros(1, dtype=np.intp),
+        np.array([lag], dtype=float),
+        (c2 - c1)[None, :],
     )
-    return float(np.exp(logf))
-
-
-@dataclass(frozen=True)
-class _PreparedPairs:
-    """Static per-dataset pair arrays reused across objective evaluations."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    lag: np.ndarray
-    dx: np.ndarray
-    weight: np.ndarray
-
-    @property
-    def n_terms(self) -> int:
-        return int(self.z1.size)
+    logf, _ = _log_pair_density(pairs, np.array([h1]), theta.a)
+    return float(np.exp(logf[0]))
 
 
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,16 +394,12 @@ def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _Pre
     flat = values.ravel()
     z1 = flat[(ti[:, None] * m + sk[None, :]).ravel()]
     z2 = flat[(tj[:, None] * m + sl[None, :]).ravel()]
-    lag = np.repeat(dates[tj] - dates[ti], sk.size)
-    dx = np.tile(coords[sl] - coords[sk], (ti.size, 1))
     weight = (wt[:, None] * ws[None, :]).ravel()
-
-    keep = weight > 0
-    if not np.any(keep):
-        raise ValidationError("all pair weights are zero; nothing to sum")
-    if not np.all(keep):
-        z1, z2, lag, dx, weight = z1[keep], z2[keep], lag[keep], dx[keep], weight[keep]
-    return _PreparedPairs(z1, z2, lag, dx, weight)
+    # Candidate table rows: every distinct lag crossed with every site pair.
+    lags, lag_index = np.unique(dates[tj] - dates[ti], return_inverse=True)
+    key = (lag_index[:, None] * sk.size + np.arange(sk.size)[None, :]).ravel()
+    dx = np.tile(coords[sl] - coords[sk], (lags.size, 1))
+    return _prepared_pairs(z1, z2, weight, key, np.repeat(lags, sk.size), dx)
 
 
 def _blocked_sum(terms: np.ndarray) -> float:
@@ -353,11 +411,10 @@ def _blocked_sum(terms: np.ndarray) -> float:
 
 
 def _eval_st_loglik(prepared: _PreparedPairs, theta: ThetaVector) -> float:
-    alag = theta.a ** prepared.lag
-    h1 = mahalanobis_distance(
+    h = mahalanobis_distance(
         prepared.dx - prepared.lag[:, None] * theta.markov.tau_array(), theta.smith
     )
-    logf, n_floored = _log_st_pair_density(prepared.z1, prepared.z2, alag, h1)
+    logf, n_floored = _log_pair_density(prepared, h, theta.a)
     if n_floored:
         logger.debug("pairwise objective floored %d of %d terms", n_floored, logf.size)
     return _blocked_sum(logf * prepared.weight)
@@ -378,17 +435,9 @@ def pairwise_loglik(
     return _eval_st_loglik(_prepare_st_pairs(data, weights), theta)
 
 
-@dataclass(frozen=True)
-class _PreparedSpatialPairs:
-    z1: np.ndarray
-    z2: np.ndarray
-    dx: np.ndarray
-    weight: np.ndarray
-
-
 def _prepare_spatial_pairs(
     data: SpaceTimeField, weights: PairWeights | None
-) -> _PreparedSpatialPairs:
+) -> _PreparedPairs:
     n, m = data.n_dates, data.n_sites
     if m < 2:
         raise ValidationError(f"need at least 2 sites, got M={m}")
@@ -400,28 +449,26 @@ def _prepare_spatial_pairs(
     values = np.asarray(data.values)
     sk, sl = _upper_pairs(m)
     ws = np.ones(sk.size) if weights is None or weights.spatial is None else weights.spatial[sk, sl]
-    z1 = values[:, sk].ravel()
-    z2 = values[:, sl].ravel()
-    dx = np.tile(coords[sl] - coords[sk], (n, 1))
-    weight = np.tile(ws, n)
-    keep = weight > 0
-    if not np.any(keep):
-        raise ValidationError("all pair weights are zero; nothing to sum")
-    if not np.all(keep):
-        z1, z2, dx, weight = z1[keep], z2[keep], dx[keep], weight[keep]
-    return _PreparedSpatialPairs(z1, z2, dx, weight)
+    return _prepared_pairs(
+        values[:, sk].ravel(),
+        values[:, sl].ravel(),
+        np.tile(ws, n),
+        np.tile(np.arange(sk.size), n),
+        np.zeros(sk.size),
+        coords[sl] - coords[sk],
+    )
 
 
-def _eval_spatial_loglik(prepared: _PreparedSpatialPairs, sigma: SmithParams) -> float:
+def _eval_spatial_loglik(prepared: _PreparedPairs, sigma: SmithParams) -> float:
     h = mahalanobis_distance(prepared.dx, sigma)
-    if np.any(h < H_COMPLETE_DEP):
-        bad = int(np.argmax(h < H_COMPLETE_DEP))
+    coincident = h < H_COMPLETE_DEP
+    if np.any(coincident):
+        bad = int(np.argmax(coincident[prepared.row]))
         raise DegeneratePairError(
             f"same-date pair {bad} has coincident sites under this covariance; "
             "remove duplicated sites before fitting"
         )
-    ones = np.ones_like(h)
-    logf, n_floored = _log_st_pair_density(prepared.z1, prepared.z2, ones, h)
+    logf, n_floored = _log_pair_density(prepared, h, 1.0)
     if n_floored:
         logger.debug("spatial objective floored %d of %d terms", n_floored, logf.size)
     return _blocked_sum(logf * prepared.weight)

@@ -84,10 +84,6 @@ class IntegerPoissonSample:
             if n < 0:
                 raise ValidationError(f"count at {k} must be non-negative, got {n}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def sample_integer_poisson(
     stream: SeededStream,

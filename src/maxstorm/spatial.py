@@ -443,10 +443,7 @@ def vmf_density(x: SphereSite | np.ndarray, mu: SphereSite | np.ndarray, params:
 
 def vmf_density_bound(params: VmfParams) -> float:
     """Supremum of the density, attained at the mean direction."""
-    kappa = params.kappa
-    if kappa < _KAPPA_SERIES_CUTOFF:
-        return _kappa_over_sinh(kappa) * math.exp(kappa) / (4.0 * math.pi)
-    return kappa / (2.0 * math.pi * (-math.expm1(-2.0 * kappa)))
+    return float(_vmf_shape(1.0, params.kappa))
 
 
 def _vmf_values(

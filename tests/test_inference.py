@@ -1,9 +1,13 @@
 """Pair densities, composite likelihoods, transforms, and the optimizer."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from maxstorm import (
     DegeneratePairError,
@@ -26,6 +30,8 @@ from maxstorm import (
     square_grid,
 )
 from maxstorm.inference import (
+    _log_pair_density,
+    _prepared_pairs,
     _sigma_transform,
     _temporal_transform,
     _theta_transform,
@@ -96,6 +102,96 @@ class TestBivariateDensity:
             bivariate_density(0.0, 1.0, 0, 1, X1, X2, THETA0)
 
 
+def _kernel_log_density(z1, z2, lag, h, a):
+    """The objective's kernel on one table row per term."""
+    n = z1.size
+    pairs = _prepared_pairs(z1, z2, np.ones(n), np.arange(n), lag, np.zeros((n, 2)))
+    logf, _ = _log_pair_density(pairs, h, a)
+    return logf
+
+
+def _bracket_log_density(z1, z2, alag, h):
+    """Unreduced form: exp(-V) times the A*B + C bracket of V's partials."""
+    w = 0.5 * h + np.log(z2 / (alag * z1)) / h
+    v = h - w
+    phi_w = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi)
+    phi_v = np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
+    cdf_w, cdf_v = ndtr(w), ndtr(v)
+    exponent = cdf_w / z1 + alag * cdf_v / z2 + (1.0 - alag) / z2
+    a_term = cdf_w / z1**2 + phi_w / (h * z1**2) - alag * phi_v / (h * z1 * z2)
+    b_term = (
+        alag * cdf_v / z2**2
+        + alag * phi_v / (h * z2**2)
+        - phi_w / (h * z1 * z2)
+        + (1.0 - alag) / z2**2
+    )
+    c_term = v * phi_w / (h**2 * z1**2 * z2) + alag * w * phi_v / (h**2 * z1 * z2**2)
+    return -exponent + np.log(a_term * b_term + c_term)
+
+
+def _kernel_grid(h_values, h_line):
+    """Pair values and lags at each of ``h_values``, and near the singular line.
+
+    The points near the line, at ``h_line``, put ``w`` at -20, -5, 0 and 5.
+    There ``log f`` moves by about ``|w|/h`` per unit of ``log(z2/z1)``, so
+    much below ``h = 1e-3`` the rounding of the float inputs alone nears
+    the 1e-10 budget of the reference test.
+    """
+    a, values, lags = 0.7, (0.2, 1.0, 3.0), (0, 1, 3)
+    rows = list(itertools.product(values, values, lags, h_values))
+    # log(z2 / (a**lag z1)) = (w - h/2)*h puts w at each target.
+    rows += [
+        (z1, a**lag * z1 * math.exp((w - 0.5 * h) * h), lag, h)
+        for z1, lag, h, w in itertools.product(values, lags, h_line, (-20.0, -5.0, 0.0, 5.0))
+    ]
+    z1, z2, lag, h = (np.array(c, dtype=float) for c in zip(*rows))
+    return z1, z2, lag, h, a
+
+
+class TestPairDensityKernel:
+    def test_matches_bracket_form_away_from_small_h(self):
+        z1, z2, lag, h, a = _kernel_grid(np.geomspace(0.1, 40.0, 9), np.geomspace(0.1, 1.0, 4))
+        got = _kernel_log_density(z1, z2, lag, h, a)
+        want = _bracket_log_density(z1, z2, a**lag, h)
+        # Deeper in the tail the bracket's phi/h terms cancel below its own
+        # rounding; the reference test covers the kernel there.
+        live = want > -50.0
+        assert np.count_nonzero(live) > 0.8 * live.size
+        np.testing.assert_allclose(np.exp(got[live]), np.exp(want[live]), rtol=1e-12)
+
+    def test_matches_high_precision_reference(self):
+        mp = pytest.importorskip("mpmath")
+        z1, z2, lag, h, a = _kernel_grid(np.geomspace(1e-6, 40.0, 12), np.geomspace(1e-3, 1.0, 10))
+        got = _kernel_log_density(z1, z2, lag, h, a)
+
+        def pdf(x):
+            return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
+
+        want = []
+        with mp.workdps(50):
+            for p1, p2, el, hh in zip(z1, z2, lag, h):
+                # Every float input is exact in mpmath; only the formula differs.
+                p1, p2, hh = mp.mpf(p1), mp.mpf(p2), mp.mpf(hh)
+                al = mp.mpf(a) ** int(el)
+                w = hh / 2 + mp.log(p2 / (al * p1)) / hh
+                v = hh - w
+                big_w, big_v = mp.ncdf(w), mp.ncdf(v)
+                exponent = big_w / p1 + al * big_v / p2 + (1 - al) / p2
+                a_term = big_w / p1**2 + pdf(w) / (hh * p1**2) - al * pdf(v) / (hh * p1 * p2)
+                b_term = (
+                    al * big_v / p2**2 + al * pdf(v) / (hh * p2**2)
+                    - pdf(w) / (hh * p1 * p2) + (1 - al) / p2**2
+                )
+                c_term = v * pdf(w) / (hh**2 * p1**2 * p2) + al * w * pdf(v) / (hh**2 * p1 * p2**2)
+                want.append(float(-exponent + mp.log(a_term * b_term + c_term)))
+        want = np.array(want)
+        live = want > -600.0
+        # Terms below the density floor must come back floored.
+        assert np.all(got[~live] < -600.0)
+        assert np.count_nonzero(live) > 0.5 * live.size
+        np.testing.assert_allclose(np.exp(got[live]), np.exp(want[live]), rtol=1e-10)
+
+
 class TestPairwiseLoglik:
     def test_smallest_index_set_is_one_term(self, smith_identity):
         data = _sim(21, n_dates=2, n_sites=2)
@@ -137,6 +233,31 @@ class TestPairwiseLoglik:
         )
         assert windowed != full
 
+    @pytest.mark.parametrize("case", ["sparse dates", "cutoff weights"])
+    def test_equals_sum_of_pair_densities(self, case):
+        # Terms that share a lag and a site pair share one table row, so the
+        # gathered objective must equal the sum of independent pair densities.
+        field = _sim(26, n_dates=4, n_sites=5)
+        dates = np.array([1, 2, 5, 9]) if case == "sparse dates" else np.asarray(field.dates)
+        data = SpaceTimeField(sites=field.sites, dates=dates, values=field.values)
+        coords = np.asarray(data.sites.coords)
+        theta = ThetaVector(1.2, 0.3, 0.8, 0.6, -0.7, 0.4)
+        weights = None
+        wt, ws = np.ones((4, 4)), np.ones((5, 5))
+        if case == "cutoff weights":
+            weights = PairWeights.cutoff(dates, coords, max_time_lag=2, max_space_dist=4.0)
+            wt, ws = weights.temporal, weights.spatial
+        expected = 0.0
+        for i, j in itertools.combinations(range(4), 2):
+            for k, l in itertools.combinations(range(5), 2):
+                if wt[i, j] * ws[k, l] > 0:
+                    f = bivariate_density(
+                        data.values[i, k], data.values[j, l], int(dates[i]), int(dates[j]),
+                        coords[k], coords[l], theta,
+                    )
+                    expected += wt[i, j] * ws[k, l] * np.log(f)
+        assert pairwise_loglik(data, theta, weights) == pytest.approx(expected, rel=1e-12)
+
     def test_value_is_finite_at_distant_theta(self):
         data = _sim(25, n_dates=4, n_sites=4)
         off = ThetaVector(2.0, 0.3, 0.5, 0.12, 2.0, 2.0)
@@ -174,6 +295,23 @@ class TestSpatialPairwiseLoglik:
         data = simulate_markov_planar(sites, 2, smith_identity, markov_standard, SeededStream(1))
         with pytest.raises(DegeneratePairError):
             spatial_pairwise_loglik(data, smith_identity)
+
+    def test_coincident_sites_with_zero_weight_are_dropped(self, smith_identity, markov_standard):
+        coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.5, 0.5], [0.5, 2.0]])
+        sites = SiteSet.planar(coords)
+        data = simulate_markov_planar(sites, 3, smith_identity, markov_standard, SeededStream(2))
+        spatial = np.ones((4, 4))
+        spatial[0, 1] = 0.0
+        got = spatial_pairwise_loglik(data, smith_identity, PairWeights(spatial=spatial))
+        expected = 0.0
+        for i in range(3):
+            for k, l in itertools.combinations(range(4), 2):
+                if (k, l) != (0, 1):
+                    f = bivariate_density(
+                        data.values[i, k], data.values[i, l], i, i, coords[k], coords[l], THETA0
+                    )
+                    expected += np.log(f)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_true_scale_beats_inflated_scale_on_average(self, smith_identity):
         # Composite-likelihood consistency probe: averaged over replicates,
