@@ -47,7 +47,6 @@ from .inference import (
     bivariate_density,
     fit_scheme1,
     fit_scheme2,
-    nelder_mead,
     pairwise_loglik,
     spatial_pairwise_loglik,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "gaussian_density_2d",
     "madogram_to_theta",
     "mahalanobis_distance",
-    "nelder_mead",
     "pairwise_loglik",
     "pool_madograms",
     "read_field",

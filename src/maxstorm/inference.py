@@ -26,9 +26,9 @@ weighted.  The parameter-free parts of every term are prepared once per
 dataset, and ``h`` and ``a**l`` once per distinct (lag, site pair).
 Scheme 1 estimates the storm covariance from same-date pairs first and then
 the temporal parameters; Scheme 2 maximizes the full objective over all six
-parameters at once.  Optimization is a hand-rolled Nelder-Mead in
-transformed space (log-Cholesky for the covariance, logit for ``a``),
-derivative-free and bounded by an evaluation budget.
+parameters at once.  Optimization is scipy's Nelder-Mead in transformed
+space (log-Cholesky for the covariance, logit for ``a``), derivative-free
+and bounded by an evaluation budget.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import OptimizeResult, minimize
 from scipy.special import ndtr
 
 from .errors import DegeneratePairError, NumericalError, ValidationError
@@ -51,14 +52,12 @@ __all__ = [
     "PairWeights",
     "FitReport",
     "FitOptions",
-    "OptimizerReport",
     "ParameterTransform",
     "bivariate_density",
     "pairwise_loglik",
     "spatial_pairwise_loglik",
     "fit_scheme1",
     "fit_scheme2",
-    "nelder_mead",
 ]
 
 logger = logging.getLogger(__name__)
@@ -68,6 +67,9 @@ _LOG_FLOOR = math.log(DENSITY_FLOOR)
 # Fixed reduction blocks keep the objective bit-stable regardless of how
 # many worker threads drive replicate-level parallelism above us.
 _SUM_BLOCK = 65536
+# Edge of the first simplex in transformed space, per unit of max(1, |u_d|);
+# the restart uses a tenth of it.
+_SIMPLEX_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,11 @@ class PairWeights:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one pairwise-likelihood fit."""
+    """Outcome of one pairwise-likelihood fit.
+
+    ``iterations`` counts the objective evaluations of the simplex runs,
+    restarts included; the 244-evaluation start scan is not in it.
+    """
 
     theta_hat: ThetaVector
     loglik: float
@@ -168,29 +174,19 @@ class FitReport:
 class FitOptions:
     """Optimizer and weighting knobs shared by both schemes.
 
-    ``xtol`` and ``ftol`` act in the transformed parameter space;
-    ``max_evals`` is the total objective-evaluation budget per optimizer
-    run including its single restart.  The optional cutoff radii build
-    zero-one pair weights.
+    ``xtol`` and ``ftol`` act in the transformed parameter space: a run
+    converges when the largest coordinate spread of the simplex about its
+    best vertex is within ``xtol`` and its function spread within ``ftol``.
+    ``max_evals`` is a hard cap on the objective evaluations of each
+    optimizer run, its single restart included.  The optional cutoff radii
+    build zero-one pair weights.
     """
 
     xtol: float = 1e-6
     ftol: float = 1e-8
     max_evals: int = 5000
-    initial_step: float = 0.25
     max_time_lag: float | None = None
     max_space_dist: float | None = None
-
-
-@dataclass(frozen=True)
-class OptimizerReport:
-    """Best point found by :func:`nelder_mead` with convergence facts."""
-
-    x: np.ndarray
-    fval: float
-    n_evals: int
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -361,11 +357,6 @@ def bivariate_density(
     return float(np.exp(logf[0]))
 
 
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, k=1)
-    return i, j
-
-
 def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _PreparedPairs:
     n, m = data.n_dates, data.n_sites
     if n < 2 or m < 2:
@@ -385,8 +376,8 @@ def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _Pre
             raise ValidationError(
                 f"spatial weights are {weights.spatial.shape[0]}-square for {m} sites"
             )
-    ti, tj = _upper_pairs(n)
-    sk, sl = _upper_pairs(m)
+    ti, tj = np.triu_indices(n, k=1)
+    sk, sl = np.triu_indices(m, k=1)
     wt = np.ones(ti.size) if weights is None or weights.temporal is None else weights.temporal[ti, tj]
     ws = np.ones(sk.size) if weights is None or weights.spatial is None else weights.spatial[sk, sl]
 
@@ -447,7 +438,7 @@ def _prepare_spatial_pairs(
         )
     coords = np.asarray(data.sites.coords)
     values = np.asarray(data.values)
-    sk, sl = _upper_pairs(m)
+    sk, sl = np.triu_indices(m, k=1)
     ws = np.ones(sk.size) if weights is None or weights.spatial is None else weights.spatial[sk, sl]
     return _prepared_pairs(
         values[:, sk].ravel(),
@@ -494,11 +485,6 @@ class ParameterTransform:
 
     to_unconstrained: Callable[[np.ndarray], np.ndarray]
     to_constrained: Callable[[np.ndarray], np.ndarray]
-
-
-def _identity_transform() -> ParameterTransform:
-    return ParameterTransform(lambda x: np.asarray(x, dtype=float).copy(),
-                              lambda u: np.asarray(u, dtype=float).copy())
 
 
 def _sigma_to_chol(sigma: np.ndarray) -> np.ndarray:
@@ -566,106 +552,48 @@ def _theta_transform() -> ParameterTransform:
     return ParameterTransform(fwd, inv)
 
 
-def nelder_mead(
+def _nelder_mead(
     objective: Callable[[np.ndarray], float],
     init: np.ndarray,
-    transforms: ParameterTransform | None = None,
-    options: FitOptions | None = None,
-) -> OptimizerReport:
-    """Minimize a black-box objective by the Nelder-Mead simplex method.
+    transform: ParameterTransform,
+    opts: FitOptions,
+) -> OptimizeResult:
+    """Minimize ``objective`` by scipy's Nelder-Mead in transformed space.
 
-    The search runs in the unconstrained space defined by ``transforms``
-    (identity when omitted), so constrained parameters stay feasible at
-    every evaluation.  Convergence requires both a simplex diameter below
-    ``xtol`` and a function spread below ``ftol``; after the first
-    convergence the simplex is rebuilt once around the best vertex and the
-    search continues, which guards against premature collapse.  Exceeding
-    ``max_evals`` returns the best iterate with ``converged=False``.
+    The search runs in the unconstrained space of ``transform``, so
+    constrained parameters stay feasible at every evaluation.  After the
+    first run the simplex is rebuilt once around the best vertex, ten times
+    smaller, which guards against premature collapse; ``success`` is the
+    last run's.  Every objective call counts against ``opts.max_evals``,
+    and a NaN objective is read as +inf.
     """
-    opts = options or FitOptions()
-    tr = transforms or _identity_transform()
-    u0 = np.asarray(tr.to_unconstrained(np.asarray(init, dtype=float)), dtype=float)
-    dim = u0.size
-
     evals = 0
-    iterations = 0
 
     def g(u: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        value = float(objective(tr.to_constrained(u)))
-        if math.isnan(value):
-            # A NaN objective would poison simplex ordering; treat as +inf.
-            return math.inf
-        return value
+        value = float(objective(transform.to_constrained(u)))
+        return math.inf if math.isnan(value) else value
 
-    f0 = g(u0)
-    if math.isinf(f0):
+    u = np.asarray(transform.to_unconstrained(init), dtype=float)
+    fun = g(u)
+    if math.isinf(fun):
         raise ValidationError("objective is not finite at the initial point")
-
-    alpha, gamma, rho, shrink = 1.0, 2.0, 0.5, 0.5
-
-    def build_simplex(center: np.ndarray, f_center: float, step: float):
-        pts = [center]
-        fs = [f_center]
-        for d in range(dim):
-            p = center.copy()
-            p[d] += step if p[d] == 0 else step * max(1.0, abs(p[d]))
-            pts.append(p)
-            fs.append(g(p))
-        return np.array(pts), np.array(fs)
-
-    def run(simplex: np.ndarray, fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        nonlocal iterations
-        while evals < opts.max_evals:
-            order = np.argsort(fvals, kind="stable")
-            simplex, fvals = simplex[order], fvals[order]
-            diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
-            spread = float(fvals[-1] - fvals[0])
-            if diameter < opts.xtol and spread < opts.ftol:
-                return simplex, fvals, True
-            iterations += 1
-            centroid = simplex[:-1].mean(axis=0)
-            reflected = centroid + alpha * (centroid - simplex[-1])
-            f_r = g(reflected)
-            if f_r < fvals[0]:
-                expanded = centroid + gamma * (reflected - centroid)
-                f_e = g(expanded)
-                if f_e < f_r:
-                    simplex[-1], fvals[-1] = expanded, f_e
-                else:
-                    simplex[-1], fvals[-1] = reflected, f_r
-            elif f_r < fvals[-2]:
-                simplex[-1], fvals[-1] = reflected, f_r
-            else:
-                if f_r < fvals[-1]:
-                    contracted = centroid + rho * (reflected - centroid)
-                else:
-                    contracted = centroid + rho * (simplex[-1] - centroid)
-                f_c = g(contracted)
-                if f_c < min(f_r, fvals[-1]):
-                    simplex[-1], fvals[-1] = contracted, f_c
-                else:
-                    for idx in range(1, dim + 1):
-                        simplex[idx] = simplex[0] + shrink * (simplex[idx] - simplex[0])
-                        fvals[idx] = g(simplex[idx])
-        return simplex, fvals, False
-
-    simplex, fvals = build_simplex(u0, f0, opts.initial_step)
-    simplex, fvals, ok = run(simplex, fvals)
-    best_idx = int(np.argmin(fvals))
-    best_u, best_f = simplex[best_idx].copy(), float(fvals[best_idx])
-    converged = ok
-    if evals < opts.max_evals:
-        # One restart from the best vertex with a tighter simplex.
-        simplex, fvals = build_simplex(best_u, best_f, opts.initial_step * 0.1)
-        simplex, fvals, ok2 = run(simplex, fvals)
-        idx = int(np.argmin(fvals))
-        if float(fvals[idx]) <= best_f:
-            best_u, best_f = simplex[idx].copy(), float(fvals[idx])
-        converged = ok2
-    x_best = np.asarray(tr.to_constrained(best_u), dtype=float)
-    return OptimizerReport(x_best, best_f, evals, iterations, converged)
+    success = False
+    for step in (_SIMPLEX_STEP, 0.1 * _SIMPLEX_STEP):
+        if evals >= opts.max_evals:
+            break
+        simplex = np.vstack([u, u + np.diag(step * np.maximum(1.0, np.abs(u)))])
+        run = minimize(g, u, method="Nelder-Mead", options={
+            "initial_simplex": simplex,
+            "xatol": opts.xtol,
+            "fatol": opts.ftol,
+            "maxfev": opts.max_evals - evals,
+        })
+        success = bool(run.success)
+        if run.fun <= fun:
+            u, fun = run.x, float(run.fun)
+    return OptimizeResult(x=transform.to_constrained(u), fun=fun, nfev=evals, success=success)
 
 
 def _build_weights(data: SpaceTimeField, opts: FitOptions) -> PairWeights | None:
@@ -772,7 +700,7 @@ def fit_scheme1(
     def neg_spatial(x: np.ndarray) -> float:
         return -_eval_spatial_loglik(spatial_prep, SmithParams(*x))
 
-    stage1 = nelder_mead(
+    stage1 = _nelder_mead(
         neg_spatial,
         np.array([init.sigma11, init.sigma12, init.sigma22]),
         _sigma_transform(),
@@ -791,20 +719,20 @@ def fit_scheme1(
         st_prep, sigma_hat, init.a, (init.tau1, init.tau2)
     )
     runs = [
-        nelder_mead(neg_temporal, np.array(s), _temporal_transform(), opts)
+        _nelder_mead(neg_temporal, np.array(s), _temporal_transform(), opts)
         for s in starts
     ]
-    stage2 = min(runs, key=lambda r: r.fval)
+    stage2 = min(runs, key=lambda r: r.fun)
     theta_hat = ThetaVector(
         sigma_hat.sigma11, sigma_hat.sigma12, sigma_hat.sigma22,
         float(stage2.x[0]), float(stage2.x[1]), float(stage2.x[2]),
     )
     return FitReport(
         theta_hat=theta_hat,
-        loglik=-stage2.fval,
+        loglik=-stage2.fun,
         n_pairs=st_prep.n_terms,
-        iterations=stage1.n_evals + sum(r.n_evals for r in runs),
-        converged=stage1.converged and stage2.converged and _a_is_interior(theta_hat.a),
+        iterations=stage1.nfev + sum(r.nfev for r in runs),
+        converged=stage1.success and stage2.success and _a_is_interior(theta_hat.a),
         scheme=1,
     )
 
@@ -831,7 +759,7 @@ def fit_scheme2(
         st_prep, init.smith, init.a, (init.tau1, init.tau2)
     )
     runs = [
-        nelder_mead(
+        _nelder_mead(
             neg_full,
             np.array([init.sigma11, init.sigma12, init.sigma22, a0, t1, t2]),
             _theta_transform(),
@@ -839,13 +767,13 @@ def fit_scheme2(
         )
         for a0, t1, t2 in starts
     ]
-    report = min(runs, key=lambda r: r.fval)
+    report = min(runs, key=lambda r: r.fun)
     theta_hat = ThetaVector.from_array(report.x)
     return FitReport(
         theta_hat=theta_hat,
-        loglik=-report.fval,
+        loglik=-report.fun,
         n_pairs=st_prep.n_terms,
-        iterations=sum(r.n_evals for r in runs),
-        converged=report.converged and _a_is_interior(theta_hat.a),
+        iterations=sum(r.nfev for r in runs),
+        converged=report.success and _a_is_interior(theta_hat.a),
         scheme=2,
     )

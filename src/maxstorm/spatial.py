@@ -515,14 +515,17 @@ def smith_exponent_bivariate(z1: float, z2: float, h: float) -> BivariateExponen
     w = 0.5 * h + math.log(z2 / z1) / h
     v = h - w
     phi_w = math.exp(-0.5 * w * w) / SQRT_TWO_PI
-    phi_v = math.exp(-0.5 * v * v) / SQRT_TWO_PI
     cdf_w = float(ndtr(w))
     cdf_v = float(ndtr(v))
-    value = cdf_w / z1 + cdf_v / z2
-    d1 = -(cdf_w / z1 ** 2 + phi_w / (h * z1 ** 2) - phi_v / (h * z1 * z2))
-    d2 = -(cdf_v / z2 ** 2 + phi_v / (h * z2 ** 2) - phi_w / (h * z1 * z2))
-    d12 = -(v * phi_w / (h ** 2 * z1 ** 2 * z2) + w * phi_v / (h ** 2 * z1 * z2 ** 2))
-    return BivariateExponent(value, d1, d2, d12)
+    # The identity phi(v)/z2 = phi(w)/z1 cancels the phi/h terms of the
+    # first partials exactly; the reduced form keeps them from cancelling
+    # in floating point at small h.
+    return BivariateExponent(
+        cdf_w / z1 + cdf_v / z2,
+        -cdf_w / z1 ** 2,
+        -cdf_v / z2 ** 2,
+        -phi_w / (h * z1 ** 2 * z2),
+    )
 
 
 def smith_exponent_numeric(

@@ -23,14 +23,15 @@ from maxstorm import (
     bivariate_density,
     fit_scheme1,
     fit_scheme2,
-    nelder_mead,
     pairwise_loglik,
     simulate_markov_planar,
     spatial_pairwise_loglik,
     square_grid,
 )
 from maxstorm.inference import (
+    ParameterTransform,
     _log_pair_density,
+    _nelder_mead,
     _prepared_pairs,
     _sigma_transform,
     _temporal_transform,
@@ -362,18 +363,21 @@ class TestTransforms:
 
 
 class TestNelderMead:
+    IDENTITY = ParameterTransform(lambda x: x, lambda u: u)
+
     def test_quadratic_bowl(self):
-        report = nelder_mead(
-            lambda x: (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2, np.array([0.0, 0.0])
+        report = _nelder_mead(
+            lambda x: (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2,
+            np.array([0.0, 0.0]), self.IDENTITY, FitOptions(),
         )
         np.testing.assert_allclose(report.x, [3.0, -2.0], atol=1e-5)
-        assert report.converged
+        assert report.success
 
     def test_rosenbrock(self):
         def rosen(x):
             return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
-        report = nelder_mead(rosen, np.array([-1.2, 1.0]))
+        report = _nelder_mead(rosen, np.array([-1.2, 1.0]), self.IDENTITY, FitOptions())
         np.testing.assert_allclose(report.x, [1.0, 1.0], atol=1e-3)
 
     def test_feasibility_under_transform(self):
@@ -384,24 +388,25 @@ class TestNelderMead:
             seen.append(x.copy())
             return (x[0] - 0.4) ** 2 + x[1] ** 2 + x[2] ** 2
 
-        nelder_mead(objective, np.array([0.9, 1.0, -1.0]), transforms=tr)
+        _nelder_mead(objective, np.array([0.9, 1.0, -1.0]), tr, FitOptions())
         seen = np.array(seen)
         assert np.all((seen[:, 0] > 0.0) & (seen[:, 0] < 1.0))
 
     def test_eval_budget_reports_non_convergence(self):
-        report = nelder_mead(
+        report = _nelder_mead(
             lambda x: np.sum(x ** 2),
             np.full(6, 10.0),
-            options=FitOptions(max_evals=20),
+            self.IDENTITY,
+            FitOptions(max_evals=20),
         )
-        assert not report.converged
-        assert report.n_evals <= 20
+        assert not report.success
+        assert report.nfev <= 20
 
     def test_nan_objective_treated_as_infinite(self):
         def holey(x):
             return np.nan if x[0] > 1.0 else (x[0] - 0.5) ** 2
 
-        report = nelder_mead(holey, np.array([0.0]))
+        report = _nelder_mead(holey, np.array([0.0]), self.IDENTITY, FitOptions())
         assert abs(report.x[0] - 0.5) < 1e-4
 
 
@@ -443,6 +448,19 @@ class TestFits:
         report = fit_scheme1(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0), FitOptions(max_evals=400))
         assert report.n_pairs == 10 * 6
         assert report.iterations > 0
+
+    @pytest.mark.parametrize("scheme, runs", [(1, 4), (2, 3)])
+    def test_eval_budget_caps_every_run(self, scheme, runs):
+        # The study's first replicate on 4 sites x 4 dates: scheme 1 makes one
+        # covariance run and three temporal runs, scheme 2 three joint runs.
+        root = SeededStream(1).child(0)
+        coords = root.child(0).generator().uniform(0.0, 10.0, size=(4, 2))
+        data = simulate_markov_planar(
+            SiteSet.planar(coords), 4, THETA0.smith, THETA0.markov, root.child(1)
+        )
+        fit = fit_scheme1 if scheme == 1 else fit_scheme2
+        report = fit(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0), FitOptions(max_evals=100))
+        assert report.iterations <= 100 * runs
 
     def test_too_small_data_rejected(self, smith_identity, markov_standard):
         data = simulate_markov_planar(

@@ -1,5 +1,7 @@
 """Spatial innovation models: storm shapes, simulators, exponent functions."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -256,6 +258,30 @@ class TestSmithExponent:
             assert out.dV_dz1 == pytest.approx(d1, rel=1e-5)
             assert out.dV_dz2 == pytest.approx(d2, rel=1e-5)
             assert out.d2V_dz1dz2 == pytest.approx(d12, rel=2e-4, abs=1e-7)
+
+    def test_partials_match_high_precision_reference_at_small_h(self):
+        mp = pytest.importorskip("mpmath")
+
+        def pdf(x):
+            return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
+
+        for h in (1e-3, 1e-6):
+            for w in (-20.0, -5.0, 0.0, 5.0):
+                # z1 = 1 keeps log(z2/z1) free of a division rounding, which
+                # alone would move w by about eps/h.
+                z2 = math.exp(h * (w - h / 2))
+                out = smith_exponent_bivariate(1.0, z2, h)
+                with mp.workdps(50):
+                    # The term-by-term partials; 50 digits absorb their cancellation.
+                    p2, hh = mp.mpf(z2), mp.mpf(h)
+                    ww = hh / 2 + mp.log(p2) / hh
+                    vv = hh - ww
+                    d1 = -(mp.ncdf(ww) + pdf(ww) / hh - pdf(vv) / (hh * p2))
+                    d2 = -(mp.ncdf(vv) / p2**2 + pdf(vv) / (hh * p2**2) - pdf(ww) / (hh * p2))
+                    d12 = -(vv * pdf(ww) / (hh**2 * p2) + ww * pdf(vv) / (hh**2 * p2**2))
+                    want = [float(d) for d in (d1, d2, d12)]
+                got = [out.dV_dz1, out.dV_dz2, out.d2V_dz1dz2]
+                np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"h={h}, w={w}")
 
     def test_numeric_oracle_single_point(self, smith_identity):
         sites = SiteSet.planar(np.array([[0.0, 0.0]]))
