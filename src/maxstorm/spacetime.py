@@ -157,13 +157,17 @@ def _innovation(
     spatial: SmithParams | SchlatherParams | VmfParams,
     stream: SeededStream,
     n_storms: int,
-) -> tuple[np.ndarray, int]:
-    """One innovation draw on ``coords``; returns (values, storms used)."""
+) -> tuple[np.ndarray, int, int]:
+    """One innovation draw on ``coords``.
+
+    Returns the values, the storms used and the storm-entry evaluations.
+    """
     if isinstance(spatial, SmithParams):
         return _smith_values(coords, spatial, stream.generator(), EPS_TAIL, STORM_CAP)
     if isinstance(spatial, SchlatherParams):
         field_ = simulate_schlather(SiteSet.planar(coords), spatial, stream, n_storms)
-        return np.asarray(field_.values), int(field_.meta["n_storms"])
+        meta = field_.meta
+        return np.asarray(field_.values), int(meta["n_storms"]), int(meta["n_storm_evals"])
     if isinstance(spatial, VmfParams):
         return _vmf_values(coords, spatial, stream.generator(), STORM_CAP)
     raise ValidationError(f"unsupported innovation parameters {type(spatial).__name__}")
@@ -197,8 +201,9 @@ def _simulate_markov(
 
     # Stationary start: the first date is one innovation draw on the full
     # enlarged set, so the chain needs no burn-in.
-    state, n_used = _innovation(entry_coords, spatial, stream.child(0), n_storms)
+    state, n_used, n_evals = _innovation(entry_coords, spatial, stream.child(0), n_storms)
     storm_counts = [n_used]
+    eval_counts = [n_evals]
     out[0] = state[:m]
     if return_internals:
         keep_state[0] = state
@@ -206,8 +211,9 @@ def _simulate_markov(
     for i in range(1, n_dates):
         n_active = (n_dates - i) * m
         active_coords = entry_coords[:n_active]
-        z, n_used = _innovation(active_coords, spatial, stream.child(i), n_storms)
+        z, n_used, n_evals = _innovation(active_coords, spatial, stream.child(i), n_storms)
         storm_counts.append(n_used)
+        eval_counts.append(n_evals)
         new_state = np.empty(n_entries)
         new_state[:n_active] = np.maximum(a * state[m : n_active + m], (1.0 - a) * z)
         new_state[n_active:] = np.nan
@@ -217,7 +223,10 @@ def _simulate_markov(
             keep_state[i] = state
             keep_innov[i, :n_active] = z
 
-    meta = {"n_storms_per_date": tuple(storm_counts)}
+    meta = {
+        "n_storms_per_date": tuple(storm_counts),
+        "n_storm_evals_per_date": tuple(eval_counts),
+    }
     field_ = SpaceTimeField(site_set, np.arange(1, n_dates + 1), out, meta)
     if not return_internals:
         return field_
@@ -356,7 +365,7 @@ def truncated_moving_max(
         if not lags:
             continue
         rows = np.concatenate([np.arange(j * m, (j + 1) * m) for j in lags])
-        z, n_used = _innovation(entry_coords[rows], spatial, stream.child(idx), n_storms)
+        z, n_used, _ = _innovation(entry_coords[rows], spatial, stream.child(idx), n_storms)
         n_storms_total += n_used
         for pos, j in enumerate(lags):
             t_row = int(np.searchsorted(dates, s + j))

@@ -12,8 +12,19 @@ Three max-stable innovation models are simulated at finite site sets:
 All three are one spectral construction: the pointwise maximum of
 ``U_i * shape_i(x)`` over the Poisson intensities ``U_i = area / P_i``, with
 ``P_i`` partial sums of unit exponentials.  One private kernel,
-:func:`_storm_maxima`, runs that loop for every model; a model supplies only
-its random shape and the shape supremum that makes the stopping rule sound.
+:func:`_storm_maxima`, runs that loop for every model; a model supplies a
+per-block fold that draws its storms and folds them into the running
+maxima, and the shape supremum that makes the stopping rule sound.
+
+Schlather and von Mises-Fisher storms are evaluated at every site.  A Smith
+storm window larger in area than six disks of the buffer radius ``r_buf``
+is instead binned into cells of side at most ``r_buf / 2``, and each storm is
+evaluated only at the sites within ``r_buf`` of its cell.  A storm farther
+from a site reaches it only through Gaussian mass outside that disk, at
+most ``eps_tail / 4`` of its scale, inside the leak the window already
+allows.  Both evaluations consume the same draws, and their values differ
+only where a storm outside that disk would have set the maximum.
+
 Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
 (Smith, sphere) and approximately so for Schlather.
@@ -208,28 +219,32 @@ def mahalanobis_distance(dx: np.ndarray, params: SmithParams) -> float | np.ndar
 def _storm_maxima(
     rng: np.random.Generator,
     n_entries: int,
-    shapes: Callable[[np.random.Generator, int], np.ndarray],
+    fold: Callable[[np.random.Generator, np.ndarray, np.ndarray], int],
     area: float,
     sup: float,
     limit: int,
     max_block: int = 65536,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> tuple[np.ndarray, int, bool, float, int]:
     """Running maximum of ``U_i * shape_i`` over a Poisson storm sequence.
 
     Intensities ``U_i = area / P_i`` are drawn in doubling blocks, each
-    block's exponentials first; ``shapes(rng, b)`` then draws the block's
-    ``(b, n_entries)`` shape values.  Since the intensities decrease, once
-    ``U_last * sup`` falls below the running minimum over entries no later
-    storm can change any value and the loop stops.  Storms past the stopping
-    index inside the final block are legitimate points of the process, so
-    applying them is harmless.  At most ``limit`` storms are drawn.
+    block's exponentials first; ``fold(rng, u, values)`` then draws the
+    block's storms and folds ``u * shape`` into ``values`` in place,
+    returning how many storm-entry evaluations it made.  A dense model
+    evaluates every storm at every entry (:func:`_fold_dense`); the Smith
+    model may instead evaluate each storm only at the entries within its
+    reach.  Since the intensities decrease, once ``U_last * sup`` falls
+    below the running minimum over entries no later storm can change any
+    value and the loop stops.  Storms past the stopping index inside the
+    final block are legitimate points of the process, so applying them is
+    harmless.  At most ``limit`` storms are drawn.
 
     Returns the values, the storms drawn, whether the stopping rule fired,
-    and the last intensity drawn.
+    the last intensity drawn and the storm-entry evaluations made.
     """
     values = np.zeros(n_entries)
     p_last = 0.0
-    used = 0
+    used = evals = 0
     block = 64
     stopped = False
     while used < limit:
@@ -237,13 +252,78 @@ def _storm_maxima(
         p = p_last + np.cumsum(rng.exponential(size=b))
         p_last = float(p[-1])
         u = area / p
-        np.maximum(values, (u[:, None] * shapes(rng, b)).max(axis=0), out=values)
+        evals += fold(rng, u, values)
         used += b
         if u[-1] * sup < values.min():
             stopped = True
             break
         block = min(block * 2, max_block)
-    return values, used, stopped, area / p_last
+    return values, used, stopped, area / p_last, evals
+
+
+def _fold_dense(values: np.ndarray, u: np.ndarray, shapes: np.ndarray) -> int:
+    """Fold a ``(b, n_entries)`` block of shapes scaled by ``u`` into ``values``."""
+    np.maximum(values, (u[:, None] * shapes).max(axis=0), out=values)
+    return shapes.size
+
+
+# Storm-entry pairs evaluated at once; bounds a block's temporaries whatever
+# the record length (each pair array is 512 KiB).
+_PAIR_CHUNK = 1 << 16
+# Windows larger than this many disks of radius r_buf go through local
+# evaluation.  Measured crossovers: about 4 disks for the shifted site copies
+# of a record with 80 or more entries, about 9 for 20 scattered entries, and
+# none below 16 disks for 4 entries, where the dense loop costs little.
+_LOCAL_AREA_DISKS = 6.0
+# Cells per axis of the candidate grid at most; wider windows (over about
+# 500 r_buf) get coarser cells, which keeps the CSR row pointers at 8 MiB.
+_MAX_CELLS_PER_AXIS = 1024
+
+
+class _CandidateLists:
+    """Entries within reach of each cell of a grid over the storm window.
+
+    Cells have side at most ``r_buf / 2`` (wider on windows too large for
+    ``_MAX_CELLS_PER_AXIS`` such cells).  Row ``c`` of the CSR arrays
+    (``indptr``, ``indices``) lists, in increasing order, every entry within
+    Euclidean distance ``r_buf`` of cell ``c``'s rectangle, so the row of a
+    storm's cell holds every entry within ``r_buf`` of the storm.  The lists
+    are built by binning the entries into cells and testing each entry
+    against the cells around its own.
+    """
+
+    def __init__(self, coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, r_buf: float):
+        self.lo = lo
+        cells = np.minimum(np.ceil((hi - lo) / (0.5 * r_buf)), _MAX_CELLS_PER_AXIS)
+        self.shape = cells.astype(np.intp)
+        self.side = (hi - lo) / self.shape
+        home = self.cell_xy(coords)
+        gaps = []
+        for ax in (0, 1):
+            reach = int(math.ceil(r_buf / self.side[ax]))
+            near = home[:, ax, None] + np.arange(-reach, reach + 1)
+            edge = lo[ax] + near * self.side[ax]
+            x = coords[:, ax, None]
+            gap = np.maximum(np.maximum(edge - x, x - (edge + self.side[ax])), 0.0)
+            gap[(near < 0) | (near >= self.shape[ax])] = np.inf
+            gaps.append((near, gap))
+        (nx, gx), (ny, gy) = gaps
+        entry, ix, iy = np.nonzero(gx[:, :, None] ** 2 + gy[:, None, :] ** 2 <= r_buf * r_buf)
+        cell = nx[entry, ix] * self.shape[1] + ny[entry, iy]
+        self.indices = entry[np.argsort(cell, kind="stable")]
+        self.indptr = np.zeros(int(self.shape.prod()) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=self.indptr.size - 1), out=self.indptr[1:])
+
+    def cell_xy(self, x: np.ndarray) -> np.ndarray:
+        """Cell coordinates of the points ``x`` (``(n, 2)``), clipped to the grid."""
+        return np.minimum(((x - self.lo) // self.side).astype(np.intp), self.shape - 1)
+
+    def rows(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR row start and length of each center's cell."""
+        xy = self.cell_xy(centers)
+        cell = xy[:, 0] * self.shape[1] + xy[:, 1]
+        start = self.indptr[cell]
+        return start, self.indptr[cell + 1] - start
 
 
 def _smith_values(
@@ -252,11 +332,21 @@ def _smith_values(
     rng: np.random.Generator,
     eps_tail: float,
     cap: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """Exact Smith sample at ``coords`` via windowed storm generation.
 
     Storm centers are uniform on the bounding box of ``coords`` widened by
-    the buffer radius, so at most ``eps_tail`` of any site's scale leaks.
+    the buffer radius ``r_buf``, so at most ``eps_tail`` of any site's scale
+    leaks.  Windows up to ``_LOCAL_AREA_DISKS`` disks of radius ``r_buf``
+    evaluate every storm at every entry.  Larger windows evaluate each storm
+    only at the entries of its cell's candidate list (:class:`_CandidateLists`),
+    a superset of the entries within ``r_buf`` of it.  A storm farther away
+    could raise an entry only through Gaussian mass outside that disk, at
+    most ``exp(-r_buf**2 / (2 lambda_max)) = eps_tail / 4`` of its scale,
+    which lies inside the leak the window already allows.  Both paths draw
+    the same storms and compute each evaluated pair identically.
+
+    Returns the values, the storms drawn and the storm-entry evaluations.
     """
     r_buf = params.buffer_radius(eps_tail)
     lo = coords.min(axis=0) - r_buf
@@ -264,21 +354,53 @@ def _smith_values(
     area = float(np.prod(hi - lo))
     si = params.sigma_inv
     norm = params.density_bound
+    n = coords.shape[0]
 
-    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
-        centers = rng.uniform(lo, hi, size=(b, 2))
-        q = _quadratic_form(coords[None, :, :] - centers[:, None, :], si)
-        return norm * np.exp(-0.5 * q)
+    def bumps(u: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        return u * (norm * np.exp(-0.5 * _quadratic_form(dx, si)))
 
-    values, n_storms, stopped, _ = _storm_maxima(
-        rng, coords.shape[0], shapes, area, norm, cap
-    )
+    def fold_dense(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
+        centers = rng.uniform(lo, hi, size=(u.size, 2))
+        step = max(1, _PAIR_CHUNK // n)
+        for k in range(0, u.size, step):
+            c = centers[k : k + step]
+            block = bumps(u[k : k + step, None], coords[None, :, :] - c[:, None, :])
+            np.maximum(values, block.max(axis=0), out=values)
+        return u.size * n
+
+    def fold_local(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
+        centers = rng.uniform(lo, hi, size=(u.size, 2))
+        start, count = cells.rows(centers)
+        end = np.cumsum(count)
+        k = 0
+        while k < u.size:
+            # Storms k..stop-1 hold at most _PAIR_CHUNK pairs (at least one storm).
+            first = end[k] - count[k]
+            stop = max(int(np.searchsorted(end, first + _PAIR_CHUNK, side="right")), k + 1)
+            c = count[k:stop]
+            offset = np.repeat(start[k:stop] - (end[k:stop] - c - first), c)
+            entry = cells.indices[np.arange(offset.size) + offset]
+            # Offsets as (2, pairs) rows, so each component is contiguous.
+            dx = np.empty((2, entry.size))
+            for ax in (0, 1):
+                np.subtract(coords_t[ax][entry], np.repeat(centers[k:stop, ax], c), out=dx[ax])
+            np.maximum.at(values, entry, bumps(np.repeat(u[k:stop], c), dx.T))
+            k = stop
+        return int(end[-1])
+
+    if area > _LOCAL_AREA_DISKS * math.pi * r_buf * r_buf:
+        cells = _CandidateLists(coords, lo, hi, r_buf)
+        coords_t = np.ascontiguousarray(coords.T)
+        fold = fold_local
+    else:
+        fold = fold_dense
+    values, n_storms, stopped, _, evals = _storm_maxima(rng, n, fold, area, norm, cap)
     if not stopped:
         raise ResourceError(
             f"storm count exceeded cap {cap} before the stopping rule fired "
             f"(window area {area:.3g})"
         )
-    return values, n_storms
+    return values, n_storms, evals
 
 
 def simulate_smith(
@@ -312,10 +434,10 @@ def simulate_smith(
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_smith requires planar sites")
-    values, n_storms = _smith_values(
+    values, n_storms, evals = _smith_values(
         np.asarray(sites.coords), params, stream.generator(), eps_tail, cap
     )
-    return SpatialField(sites, values, {"n_storms": n_storms})
+    return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
 
 
 def correlation_powered_exponential(h: float | np.ndarray, params: SchlatherParams) -> float | np.ndarray:
@@ -396,19 +518,19 @@ def simulate_schlather(
     chol = _cholesky_with_jitter(corr, unique)
     _warn_schlather_envelope(k, b_max)
 
-    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
-        eps = chol @ rng.standard_normal(size=(k, b))
-        return (SQRT_TWO_PI * np.clip(eps, 0.0, None)).T
+    def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
+        eps = chol @ rng.standard_normal(size=(k, u.size))
+        return _fold_dense(values, u, (SQRT_TWO_PI * np.clip(eps, 0.0, None)).T)
 
-    values, used, stopped_early, u_last = _storm_maxima(
-        stream.generator(), k, shapes, 1.0, SQRT_TWO_PI * b_max, n_storms, max_block=8192
+    values, used, stopped_early, u_last, evals = _storm_maxima(
+        stream.generator(), k, fold, 1.0, SQRT_TWO_PI * b_max, n_storms, max_block=8192
     )
     # A site every storm missed (all eps <= 0 there) would stay at zero;
     # give it the largest value consistent with the stopping rule instead of
     # emitting an invalid non-positive field.
     floor = u_last * 1e-12
     values = np.maximum(values, floor)
-    meta = {"n_storms": used, "stopped_early": stopped_early}
+    meta = {"n_storms": used, "stopped_early": stopped_early, "n_storm_evals": evals}
     return SpatialField(sites, values[inverse], meta)
 
 
@@ -451,20 +573,23 @@ def _vmf_values(
     params: VmfParams,
     rng: np.random.Generator,
     cap: int,
-) -> tuple[np.ndarray, int]:
-    """Exact spherical storm sample; centers uniform, total rate 4*pi."""
+) -> tuple[np.ndarray, int, int]:
+    """Exact spherical storm sample; centers uniform, total rate 4*pi.
 
-    def shapes(rng: np.random.Generator, b: int) -> np.ndarray:
-        centers = rng.standard_normal(size=(b, 3))
+    Returns the values, the storms drawn and the storm-entry evaluations.
+    """
+
+    def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
+        centers = rng.standard_normal(size=(u.size, 3))
         centers /= np.linalg.norm(centers, axis=1)[:, None]
-        return _vmf_shape(centers @ coords.T, params.kappa)
+        return _fold_dense(values, u, _vmf_shape(centers @ coords.T, params.kappa))
 
-    values, n_storms, stopped, _ = _storm_maxima(
-        rng, coords.shape[0], shapes, 4.0 * math.pi, vmf_density_bound(params), cap
+    values, n_storms, stopped, _, evals = _storm_maxima(
+        rng, coords.shape[0], fold, 4.0 * math.pi, vmf_density_bound(params), cap
     )
     if not stopped:
         raise ResourceError(f"storm count exceeded cap {cap} on the sphere")
-    return values, n_storms
+    return values, n_storms, evals
 
 
 def simulate_vmf_field(
@@ -477,8 +602,8 @@ def simulate_vmf_field(
     """Exact spherical innovation sample with von Mises-Fisher storm shapes."""
     if sites.kind != "sphere":
         raise ValidationError("simulate_vmf_field requires sphere sites")
-    values, n_storms = _vmf_values(np.asarray(sites.coords), params, stream.generator(), cap)
-    return SpatialField(sites, values, {"n_storms": n_storms})
+    values, n_storms, evals = _vmf_values(np.asarray(sites.coords), params, stream.generator(), cap)
+    return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ randomness flows through per-replicate child streams of one root seed, so
 results are identical whatever the worker-thread count and the study is
 rerunnable replicate by replicate.
 
-Replicates whose fit raises are recorded with the error text and excluded
-from the summary statistics; the exclusion count stays visible in every
-summary row.
+Replicates whose fit raises a :class:`~maxstorm.errors.MaxstormError` are
+recorded with the error text and excluded from the summary statistics; the
+exclusion count stays visible in every summary row.  Any other exception is
+a programming error and propagates out of :func:`run_study`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import StudyConfig
+from .errors import MaxstormError
 from .geometry import SiteSet
 from .inference import FitOptions, FitReport, ThetaVector, fit_scheme1, fit_scheme2
 from .point_process import SeededStream
@@ -119,7 +121,7 @@ def _one_replicate(config: StudyConfig, index: int) -> list[ReplicateRecord]:
         try:
             report = fit(field, _NEUTRAL_INIT, options)
             records.append(ReplicateRecord(index, scheme, report, None))
-        except Exception as exc:  # any failure excludes the replicate
+        except MaxstormError as exc:
             logger.warning("replicate %d scheme %d failed: %s", index, scheme, exc)
             records.append(ReplicateRecord(index, scheme, None, str(exc)))
     return records

@@ -28,6 +28,7 @@ from maxstorm import (
     spatial_pairwise_loglik,
     square_grid,
 )
+from maxstorm import inference
 from maxstorm.inference import (
     ParameterTransform,
     _log_pair_density,
@@ -191,6 +192,15 @@ class TestPairDensityKernel:
         assert np.all(got[~live] < -600.0)
         assert np.count_nonzero(live) > 0.5 * live.size
         np.testing.assert_allclose(np.exp(got[live]), np.exp(want[live]), rtol=1e-10)
+
+
+    def test_chunked_evaluation_matches_one_chunk(self, monkeypatch):
+        # Chunk boundaries, a partial last chunk included, must not move a bit.
+        z1, z2, lag, h, a = _kernel_grid(np.geomspace(1e-3, 40.0, 12), np.geomspace(1e-3, 1.0, 10))
+        monkeypatch.setattr(inference, "_TERM_CHUNK", z1.size)
+        whole = _kernel_log_density(z1, z2, lag, h, a)
+        monkeypatch.setattr(inference, "_TERM_CHUNK", 7)
+        np.testing.assert_array_equal(_kernel_log_density(z1, z2, lag, h, a), whole)
 
 
 class TestPairwiseLoglik:

@@ -92,6 +92,20 @@ class TestPlanarRecursion:
         assert abs(theta - (2.0 - 0.7)) < 0.05
 
 
+    def test_storm_evaluations_are_local(self, smith_identity, markov_standard):
+        # The study's first record at seed 1, lengthened to 30 dates: at date
+        # 0 a dense loop would evaluate every storm at all 600 entries.
+        root = SeededStream(1).child(0)
+        sites = SiteSet.planar(root.child(0).generator().uniform(0.0, 10.0, size=(20, 2)))
+        out = simulate_markov_planar(sites, 30, smith_identity, markov_standard, root.child(1))
+        storms = out.meta["n_storms_per_date"]
+        evals = out.meta["n_storm_evals_per_date"]
+        assert len(evals) == 30
+        assert evals[0] <= 0.25 * storms[0] * 600
+        for i in range(30):
+            assert 0 < evals[i] <= storms[i] * (30 - i) * 20
+
+
 class TestSphereRecursion:
     def test_shape_and_determinism(self):
         mesh = fibonacci_sphere(6)
@@ -100,6 +114,15 @@ class TestSphereRecursion:
         assert out.values.shape == (3, 6)
         again = simulate_markov_sphere(mesh, 3, VmfParams(2.0), mk, SeededStream(5))
         np.testing.assert_array_equal(out.values, again.values)
+
+    def test_storm_evaluations_are_dense(self):
+        # Spherical storms are evaluated at every entry of each date.
+        mesh = fibonacci_sphere(6)
+        mk = MarkovParams(0.6, rotation=RotationSpec(0.4, (0.0, 0.0, 1.0)))
+        out = simulate_markov_sphere(mesh, 3, VmfParams(2.0), mk, SeededStream(5))
+        assert out.meta["n_storm_evals_per_date"] == tuple(
+            n * (3 - i) * 6 for i, n in enumerate(out.meta["n_storms_per_date"])
+        )
 
     def test_zero_rotation_reduces_to_sitewise_recursion(self):
         # With no rotation each site runs its own chain; consecutive dates at

@@ -27,6 +27,8 @@ from maxstorm import (
     smith_exponent_numeric,
     vmf_density,
 )
+from maxstorm.point_process import STORM_CAP
+from maxstorm.spatial import EPS_TAIL, _CandidateLists, _smith_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -110,6 +112,104 @@ class TestSimulateSmith:
         sites = SiteSet.planar(np.array([[0.0, 0.0], [1000.0, 0.0]]))
         with pytest.raises(ResourceError):
             simulate_smith(sites, smith_identity, SeededStream(3), cap=64)
+
+
+def _dense_smith_reference(coords, params, rng):
+    """The storm loop with every storm evaluated at every entry.
+
+    Same draws as the simulator: per doubling block the exponentials, then
+    the centers; the stopping rule is checked at block ends.
+    """
+    r_buf = params.buffer_radius(EPS_TAIL)
+    lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
+    area = float(np.prod(hi - lo))
+    si, norm = params.sigma_inv, params.density_bound
+    values = np.zeros(coords.shape[0])
+    p_last, used, block = 0.0, 0, 64
+    while True:
+        p = p_last + np.cumsum(rng.exponential(size=block))
+        p_last = float(p[-1])
+        u = area / p
+        centers = rng.uniform(lo, hi, size=(block, 2))
+        for k in range(0, block, 256):
+            dx = coords[None, :, :] - centers[k : k + 256, None, :]
+            q = (
+                si[0, 0] * dx[..., 0] ** 2
+                + 2.0 * si[0, 1] * dx[..., 0] * dx[..., 1]
+                + si[1, 1] * dx[..., 1] ** 2
+            )
+            bumps = u[k : k + 256, None] * (norm * np.exp(-0.5 * q))
+            np.maximum(values, bumps.max(axis=0), out=values)
+        used += block
+        if u[-1] * norm < values.min():
+            return values, used
+        block = min(2 * block, 65536)
+
+
+class TestLocalEvaluation:
+    """Local and dense storm evaluation reproduce the dense loop exactly."""
+
+    @pytest.mark.parametrize(
+        "n_sites, n_lags, local",
+        [(20, 30, True), (1, 1, False)],
+        ids=["20 sites x 30 lags", "one site"],
+    )
+    def test_matches_dense_reference_bit_for_bit(self, n_sites, n_lags, local):
+        params = SmithParams(1.0, 0.3, 2.0)
+        grid = np.random.default_rng(0).uniform(0, 10, size=(n_sites, 2))
+        coords = np.concatenate([grid + lag * np.array([1.0, 1.0]) for lag in range(n_lags)])
+        values, n_storms, n_evals = _smith_values(
+            coords, params, SeededStream(1).generator(), EPS_TAIL, STORM_CAP
+        )
+        ref_values, ref_storms = _dense_smith_reference(coords, params, SeededStream(1).generator())
+        assert n_storms == ref_storms
+        np.testing.assert_array_equal(values, ref_values)
+        dense_evals = n_storms * coords.shape[0]
+        assert (n_evals < dense_evals) if local else (n_evals == dense_evals)
+
+    def test_candidate_lists_hold_exactly_the_entries_in_reach(self):
+        # A cell's list is every entry within r_buf of the cell's rectangle,
+        # so it covers the r_buf disk around any storm center in the cell.
+        rng = np.random.default_rng(4)
+        coords = np.concatenate([rng.uniform(0, 10, size=(20, 2)) + lag for lag in range(12)])
+        r_buf = 5.5
+        lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
+        cells = _CandidateLists(coords, lo, hi, r_buf)
+        assert np.all(cells.side <= 0.5 * r_buf)
+        for cell in range(cells.indptr.size - 1):
+            ix, iy = divmod(cell, cells.shape[1])
+            corner = lo + np.array([ix, iy]) * cells.side
+            gap = np.maximum(np.maximum(corner - coords, coords - corner - cells.side), 0.0)
+            in_reach = np.flatnonzero(np.hypot(gap[:, 0], gap[:, 1]) <= r_buf)
+            listed = cells.indices[cells.indptr[cell] : cells.indptr[cell + 1]]
+            np.testing.assert_array_equal(np.sort(listed), in_reach)
+        centers = rng.uniform(lo, hi, size=(500, 2))
+        start, count = cells.rows(centers)
+        for c, s, n in zip(centers, start, count):
+            near = np.flatnonzero(np.hypot(*(coords - c).T) <= r_buf)
+            assert np.isin(near, cells.indices[s : s + n]).all()
+
+    def test_wide_window_gets_coarser_cells_that_still_cover_reach(self, smith_identity):
+        # A window thousands of buffer radii wide caps the grid instead of
+        # allocating a row pointer per r_buf/2 cell.
+        rng = np.random.default_rng(5)
+        coords = np.concatenate([rng.uniform(0, 3, size=(30, 2)), [[1e6, 1e6]]])
+        r_buf = 5.5
+        lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
+        cells = _CandidateLists(coords, lo, hi, r_buf)
+        assert np.all(cells.shape <= 1024) and np.all(cells.side > 0.5 * r_buf)
+        centers = np.concatenate([rng.uniform(-6, 9, size=(300, 2)), 1e6 + rng.uniform(-6, 6, size=(50, 2))])
+        start, count = cells.rows(centers)
+        for c, s, n in zip(centers, start, count):
+            near = np.flatnonzero(np.hypot(*(coords - c).T) <= r_buf)
+            assert np.isin(near, cells.indices[s : s + n]).all()
+        with pytest.raises(ResourceError):
+            simulate_smith(SiteSet.planar(coords), smith_identity, SeededStream(3), cap=64)
+
+    def test_simulate_smith_reports_evaluations(self, smith_identity):
+        sites = SiteSet.planar(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        meta = simulate_smith(sites, smith_identity, SeededStream(9)).meta
+        assert meta["n_storm_evals"] == 2 * meta["n_storms"]
 
 
 class TestSchlather:
