@@ -65,7 +65,6 @@ from .spacetime import (
 )
 from .spatial import (
     SchlatherParams,
-    SmithExponentOracle,
     SmithParams,
     SpatialField,
     VmfParams,
@@ -103,7 +102,6 @@ __all__ = [
     "SchlatherParams",
     "SeededStream",
     "SiteSet",
-    "SmithExponentOracle",
     "SmithParams",
     "SpaceTimeField",
     "SpatialField",

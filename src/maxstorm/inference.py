@@ -24,11 +24,17 @@ observation ``(t_i, x_k)`` with ``(t_j, x_l)`` for ``i < j`` and ``k < l``
 (strict on both, so same-date and same-site pairs never enter), optionally
 weighted.  The parameter-free parts of every term are prepared once per
 dataset, and ``h`` and ``a**l`` once per distinct (lag, site pair).
-Scheme 1 estimates the storm covariance from same-date pairs first and then
-the temporal parameters; Scheme 2 maximizes the full objective over all six
-parameters at once.  Optimization is scipy's Nelder-Mead in transformed
-space (log-Cholesky for the covariance, logit for ``a``), derivative-free
-and bounded by an evaluation budget.
+Both estimation schemes run through one driver, :func:`_fit`, as a list of
+stages over ``theta = (sigma11, sigma12, sigma22, a, tau1, tau2)``.  A stage
+names its objective, the parameter blocks it frees and its starts.  Scheme 1
+runs two: the same-date objective over the covariance block from the initial
+value, then the space-time objective over the ``a`` and ``tau`` blocks from
+the starts of a coarse scan.  Scheme 2 runs one: the space-time objective
+over all three blocks from the same scan's starts.  One blockwise map takes
+each free block onto all of R^k (log-Cholesky for the covariance, logit for
+``a``, identity for ``tau``); a held block is copied as it is, so scheme 1
+keeps its covariance estimate bit for bit.  Each start is refined by scipy's
+Nelder-Mead, derivative-free and bounded by an evaluation budget.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ __all__ = [
     "PairWeights",
     "FitReport",
     "FitOptions",
-    "ParameterTransform",
     "bivariate_density",
     "pairwise_loglik",
     "spatial_pairwise_loglik",
@@ -185,8 +190,11 @@ class FitOptions:
     converges when the largest coordinate spread of the simplex about its
     best vertex is within ``xtol`` and its function spread within ``ftol``.
     ``max_evals`` is a hard cap on the objective evaluations of each
-    optimizer run, its single restart included.  The optional cutoff radii
-    build zero-one pair weights.
+    optimizer run, its single restart included.  The cutoff radii are how a
+    fit is weighted: pairs more than ``max_time_lag`` apart in time or
+    ``max_space_dist`` apart in space are dropped from both objectives.
+    :class:`PairWeights` serves :func:`pairwise_loglik` and
+    :func:`spatial_pairwise_loglik` directly.
     """
 
     xtol: float = 1e-6
@@ -511,14 +519,6 @@ def spatial_pairwise_loglik(
     return _eval_spatial_loglik(_prepare_spatial_pairs(data, weights), sigma)
 
 
-@dataclass(frozen=True)
-class ParameterTransform:
-    """Bijection between a constrained parameter vector and all of R^n."""
-
-    to_unconstrained: Callable[[np.ndarray], np.ndarray]
-    to_constrained: Callable[[np.ndarray], np.ndarray]
-
-
 def _sigma_to_chol(sigma: np.ndarray) -> np.ndarray:
     s11, s12, s22 = sigma
     l11 = math.sqrt(s11)
@@ -550,64 +550,54 @@ def _expit(u: float) -> float:
     return min(max(out, 1e-12), 1.0 - 1e-12)
 
 
-def _sigma_transform() -> ParameterTransform:
-    return ParameterTransform(
-        lambda x: _sigma_to_chol(np.asarray(x, dtype=float)),
-        lambda u: _chol_to_sigma(np.asarray(u, dtype=float)),
-    )
+# The blocks of theta = (sigma11, sigma12, sigma22, a, tau1, tau2), each with
+# its map onto all of R^k and back: log-Cholesky, logit, identity.
+_SIGMA = (slice(0, 3), _sigma_to_chol, _chol_to_sigma)
+_A = (slice(3, 4), lambda x: [_logit(float(x[0]))], lambda u: _expit(float(u[0])))
+_TAU = (slice(4, 6), lambda x: x, lambda u: u)
 
 
-def _temporal_transform() -> ParameterTransform:
-    def fwd(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([_logit(float(x[0])), x[1], x[2]])
-
-    def inv(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.array([_expit(float(u[0])), u[1], u[2]])
-
-    return ParameterTransform(fwd, inv)
+def _to_free(theta: np.ndarray, free: tuple) -> np.ndarray:
+    """Unconstrained coordinates of the ``free`` blocks of ``theta``, in order."""
+    return np.concatenate([np.asarray(fwd(theta[block]), dtype=float) for block, fwd, _ in free])
 
 
-def _theta_transform() -> ParameterTransform:
-    sig = _sigma_transform()
-    tem = _temporal_transform()
+def _from_free(u: np.ndarray, base: np.ndarray, free: tuple) -> np.ndarray:
+    """``base`` with its ``free`` blocks replaced by the image of ``u``.
 
-    def fwd(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([sig.to_unconstrained(x[:3]), tem.to_unconstrained(x[3:])])
-
-    def inv(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([sig.to_constrained(u[:3]), tem.to_constrained(u[3:])])
-
-    return ParameterTransform(fwd, inv)
+    Held blocks are copied from ``base`` as they are, never round-tripped
+    through their map, so a stage leaves them bit-identical.
+    """
+    theta = base.copy()
+    start = 0
+    for block, _, inverse in free:
+        stop = start + block.stop - block.start
+        theta[block] = inverse(u[start:stop])
+        start = stop
+    return theta
 
 
 def _nelder_mead(
     objective: Callable[[np.ndarray], float],
     init: np.ndarray,
-    transform: ParameterTransform,
     opts: FitOptions,
 ) -> OptimizeResult:
-    """Minimize ``objective`` by scipy's Nelder-Mead in transformed space.
+    """Minimize ``objective`` over all of R^n by scipy's Nelder-Mead.
 
-    The search runs in the unconstrained space of ``transform``, so
-    constrained parameters stay feasible at every evaluation.  After the
-    first run the simplex is rebuilt once around the best vertex, ten times
-    smaller, which guards against premature collapse; ``success`` is the
-    last run's.  Every objective call counts against ``opts.max_evals``,
-    and a NaN objective is read as +inf.
+    After the first run the simplex is rebuilt once around the best vertex,
+    ten times smaller, which guards against premature collapse; ``success``
+    is the last run's.  Every objective call counts against
+    ``opts.max_evals``, and a NaN objective is read as +inf.
     """
     evals = 0
 
     def g(u: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        value = float(objective(transform.to_constrained(u)))
+        value = float(objective(u))
         return math.inf if math.isnan(value) else value
 
-    u = np.asarray(transform.to_unconstrained(init), dtype=float)
+    u = np.asarray(init, dtype=float)
     fun = g(u)
     if math.isinf(fun):
         raise ValidationError("objective is not finite at the initial point")
@@ -625,18 +615,7 @@ def _nelder_mead(
         success = bool(run.success)
         if run.fun <= fun:
             u, fun = run.x, float(run.fun)
-    return OptimizeResult(x=transform.to_constrained(u), fun=fun, nfev=evals, success=success)
-
-
-def _build_weights(data: SpaceTimeField, opts: FitOptions) -> PairWeights | None:
-    if opts.max_time_lag is None and opts.max_space_dist is None:
-        return None
-    return PairWeights.cutoff(
-        np.asarray(data.dates),
-        np.asarray(data.sites.coords),
-        opts.max_time_lag,
-        opts.max_space_dist,
-    )
+    return OptimizeResult(x=u, fun=fun, nfev=evals, success=success)
 
 
 _SCAN_A = (0.35, 0.6, 0.8)
@@ -647,11 +626,8 @@ _BASIN_SEP = 2.0
 
 
 def _temporal_start_candidates(
-    prepared: _PreparedPairs,
-    sigma: SmithParams,
-    init_a: float,
-    init_tau: tuple[float, float],
-) -> list[tuple[float, float, float]]:
+    prepared: _PreparedPairs, theta: np.ndarray
+) -> list[np.ndarray]:
     """Coarse objective scan proposing starting points for ``(a, tau)``.
 
     The simplex search has a trap: once ``a`` drifts small, lagged pairs
@@ -663,9 +639,11 @@ def _temporal_start_candidates(
     the lattice spans the whole identifiable range) crossed with a few
     coefficient values.  The peak can be narrower than the lattice spacing,
     so instead of trusting the single best cell the top few candidates from
-    mutually distant basins are all returned for refinement; the supplied
-    init always competes, so a good explicit start is never discarded.
+    mutually distant basins are all returned for refinement; the ``(a, tau)``
+    of ``theta`` always competes, so a good explicit start is never
+    discarded.  Each start is ``theta`` with its ``(a, tau)`` replaced.
     """
+    sigma = SmithParams(*theta[:3])
     chol = np.linalg.cholesky(np.asarray(sigma.sigma))
     chol_inv = np.linalg.inv(chol)
     ticks = np.linspace(-_SCAN_RADIUS, _SCAN_RADIUS, _SCAN_MESH)
@@ -673,12 +651,12 @@ def _temporal_start_candidates(
     lattice = np.column_stack([uu.ravel(), vv.ravel()]) @ chol.T
 
     def value(a: float, t1: float, t2: float) -> float:
-        theta = ThetaVector(
+        candidate = ThetaVector(
             sigma.sigma11, sigma.sigma12, sigma.sigma22, a, t1, t2
         )
-        return _eval_st_loglik(prepared, theta)
+        return _eval_st_loglik(prepared, candidate)
 
-    init_point = (float(init_a), float(init_tau[0]), float(init_tau[1]))
+    init_point = (float(theta[3]), float(theta[4]), float(theta[5]))
     scored = [(value(*init_point), init_point)]
     for a in _SCAN_A:
         for t1, t2 in lattice:
@@ -697,7 +675,7 @@ def _temporal_start_candidates(
         starts.append(point)
         if len(starts) == _SCAN_STARTS:
             break
-    return starts
+    return [np.concatenate([theta[:3], point]) for point in starts]
 
 
 # An estimate of ``a`` this close to 0 or 1 sits at the ``_expit`` clamp,
@@ -709,103 +687,89 @@ def _a_is_interior(a: float) -> bool:
     return _A_BOUNDARY_TOL < a < 1.0 - _A_BOUNDARY_TOL
 
 
+def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int) -> FitReport:
+    """Run the stages of ``scheme`` from ``init`` on pair tables built once.
+
+    A stage is an objective of theta, the blocks it frees and a rule giving
+    its starts from the current theta.  Each start is refined by
+    :func:`_nelder_mead` over the free blocks' unconstrained coordinates, the
+    best run's theta passes to the next stage, and the last stage's value is
+    the reported log likelihood.  ``iterations`` sums every run of every
+    stage; ``converged`` needs every stage's best run to have converged and
+    ``a`` to lie off its clamp.
+    """
+    weights = PairWeights.cutoff(
+        data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
+    )
+    spatial_pairs = _prepare_spatial_pairs(data, weights) if scheme == 1 else None
+    st_pairs = _prepare_st_pairs(data, weights)
+
+    def neg_spatial(theta: ThetaVector) -> float:
+        return -_eval_spatial_loglik(spatial_pairs, theta.smith)
+
+    def neg_st(theta: ThetaVector) -> float:
+        return -_eval_st_loglik(st_pairs, theta)
+
+    def scan(theta: np.ndarray) -> list[np.ndarray]:
+        return _temporal_start_candidates(st_pairs, theta)
+
+    if scheme == 1:
+        stages = [
+            (neg_spatial, (_SIGMA,), lambda theta: [theta]),
+            (neg_st, (_A, _TAU), scan),
+        ]
+    else:
+        stages = [(neg_st, (_SIGMA, _A, _TAU), scan)]
+
+    theta = init.as_array()
+    iterations, converged = 0, True
+    for objective, free, starts in stages:
+        runs = []
+        for start in starts(theta):
+            run = _nelder_mead(
+                lambda u: objective(ThetaVector.from_array(_from_free(u, start, free))),
+                _to_free(start, free),
+                opts,
+            )
+            run.x = _from_free(run.x, start, free)
+            runs.append(run)
+        best = min(runs, key=lambda r: r.fun)
+        theta = best.x
+        iterations += sum(r.nfev for r in runs)
+        converged = converged and best.success
+    theta_hat = ThetaVector.from_array(theta)
+    return FitReport(
+        theta_hat=theta_hat,
+        loglik=-best.fun,
+        n_pairs=st_pairs.n_terms,
+        iterations=iterations,
+        converged=converged and _a_is_interior(theta_hat.a),
+        scheme=scheme,
+    )
+
+
 def fit_scheme1(
-    data: SpaceTimeField,
-    init: ThetaVector,
-    options: FitOptions | None = None,
-    weights: PairWeights | None = None,
+    data: SpaceTimeField, init: ThetaVector, options: FitOptions | None = None
 ) -> FitReport:
     """Two-stage fit: covariance from same-date pairs, then ``(a, tau)``.
 
     Stage one maximizes the same-date objective over the three covariance
-    entries (log-Cholesky parametrization); stage two holds the covariance
-    fixed and maximizes the full space-time objective over the coefficient
-    (logit) and translation (unconstrained).  The reported log likelihood
-    is the space-time objective at the combined estimate.  An estimate of
-    ``a`` stuck at the clamp of 0 or 1 reports ``converged=False``.
+    entries; stage two holds the covariance fixed and maximizes the full
+    space-time objective over the coefficient and translation from the
+    starts of a coarse scan.  The reported log likelihood is the space-time
+    objective at the combined estimate.  An estimate of ``a`` stuck at the
+    clamp of 0 or 1 reports ``converged=False``.
     """
-    opts = options or FitOptions()
-    w = weights if weights is not None else _build_weights(data, opts)
-    spatial_prep = _prepare_spatial_pairs(data, w)
-    st_prep = _prepare_st_pairs(data, w)
-
-    def neg_spatial(x: np.ndarray) -> float:
-        return -_eval_spatial_loglik(spatial_prep, SmithParams(*x))
-
-    stage1 = _nelder_mead(
-        neg_spatial,
-        np.array([init.sigma11, init.sigma12, init.sigma22]),
-        _sigma_transform(),
-        opts,
-    )
-    sigma_hat = SmithParams(*stage1.x)
-
-    def neg_temporal(x: np.ndarray) -> float:
-        theta = ThetaVector(
-            sigma_hat.sigma11, sigma_hat.sigma12, sigma_hat.sigma22,
-            float(x[0]), float(x[1]), float(x[2]),
-        )
-        return -_eval_st_loglik(st_prep, theta)
-
-    starts = _temporal_start_candidates(
-        st_prep, sigma_hat, init.a, (init.tau1, init.tau2)
-    )
-    runs = [
-        _nelder_mead(neg_temporal, np.array(s), _temporal_transform(), opts)
-        for s in starts
-    ]
-    stage2 = min(runs, key=lambda r: r.fun)
-    theta_hat = ThetaVector(
-        sigma_hat.sigma11, sigma_hat.sigma12, sigma_hat.sigma22,
-        float(stage2.x[0]), float(stage2.x[1]), float(stage2.x[2]),
-    )
-    return FitReport(
-        theta_hat=theta_hat,
-        loglik=-stage2.fun,
-        n_pairs=st_prep.n_terms,
-        iterations=stage1.nfev + sum(r.nfev for r in runs),
-        converged=stage1.success and stage2.success and _a_is_interior(theta_hat.a),
-        scheme=1,
-    )
+    return _fit(data, init, options or FitOptions(), 1)
 
 
 def fit_scheme2(
-    data: SpaceTimeField,
-    init: ThetaVector,
-    options: FitOptions | None = None,
-    weights: PairWeights | None = None,
+    data: SpaceTimeField, init: ThetaVector, options: FitOptions | None = None
 ) -> FitReport:
     """Joint fit: one six-parameter maximization of the space-time objective.
 
-    As in :func:`fit_scheme1`, an estimate of ``a`` stuck at the clamp of 0
-    or 1 reports ``converged=False``.
+    The starts come from the same scan as :func:`fit_scheme1`'s second
+    stage, at the initial covariance.  As there, an estimate of ``a`` stuck
+    at the clamp of 0 or 1 reports ``converged=False``.
     """
-    opts = options or FitOptions()
-    w = weights if weights is not None else _build_weights(data, opts)
-    st_prep = _prepare_st_pairs(data, w)
-
-    def neg_full(x: np.ndarray) -> float:
-        return -_eval_st_loglik(st_prep, ThetaVector.from_array(x))
-
-    starts = _temporal_start_candidates(
-        st_prep, init.smith, init.a, (init.tau1, init.tau2)
-    )
-    runs = [
-        _nelder_mead(
-            neg_full,
-            np.array([init.sigma11, init.sigma12, init.sigma22, a0, t1, t2]),
-            _theta_transform(),
-            opts,
-        )
-        for a0, t1, t2 in starts
-    ]
-    report = min(runs, key=lambda r: r.fun)
-    theta_hat = ThetaVector.from_array(report.x)
-    return FitReport(
-        theta_hat=theta_hat,
-        loglik=-report.fun,
-        n_pairs=st_prep.n_terms,
-        iterations=sum(r.nfev for r in runs),
-        converged=report.success and _a_is_interior(theta_hat.a),
-        scheme=2,
-    )
+    return _fit(data, init, options or FitOptions(), 2)

@@ -29,9 +29,9 @@ from .spatial import (
     EPS_TAIL,
     SCHLATHER_MAX_SITES,
     SchlatherParams,
-    SmithExponentOracle,
     SmithParams,
     VmfParams,
+    _smith_exponent,
     _smith_values,
     _vmf_values,
     simulate_schlather,
@@ -125,9 +125,6 @@ class MarkovInternals:
     and NaN beyond.
     """
 
-    entry_coords: np.ndarray
-    lag_index: np.ndarray
-    site_index: np.ndarray
     state: np.ndarray
     innovations: np.ndarray
     a: float
@@ -231,9 +228,6 @@ def _simulate_markov(
     if not return_internals:
         return field_
     internals = MarkovInternals(
-        entry_coords=entry_coords,
-        lag_index=np.repeat(np.arange(n_dates), m),
-        site_index=np.tile(np.arange(m), n_dates),
         state=keep_state,
         innovations=keep_innov,
         a=a,
@@ -379,12 +373,16 @@ def truncated_moving_max(
     return SpaceTimeField(sites, dates, out, meta)
 
 
+# Three- and four-point blocks already take seconds of quadrature each;
+# larger ones are outside the supported envelope.
+_MAX_JOINT_POINTS = 4
+
+
 def finite_dim_neg_log_cdf(
     points: list[tuple[int, np.ndarray]],
     z: np.ndarray,
     spatial: SmithParams,
     markov: MarkovParams,
-    exponent: SmithExponentOracle | None = None,
 ) -> float:
     """Exact ``-log P(X(t_1, x_1) <= z_1, ..., X(t_M, x_M) <= z_M)``.
 
@@ -393,8 +391,9 @@ def finite_dim_neg_log_cdf(
     through the innovations up to the first date, each pair of consecutive
     dates contributes a block over the trailing points weighted by
     ``1 - a**gap``, and the innovations after the last date leave
-    ``(1 - a**gap) / z_M``.  Blocks are evaluated through the exponent
-    oracle (closed form for pairs, quadrature for three or four points).
+    ``(1 - a**gap) / z_M``.  Each block is one Smith exponent: the closed
+    form for two points, adaptive quadrature for three or four.  More than
+    four points raise :class:`~maxstorm.errors.CapabilityError`.
 
     Parameters
     ----------
@@ -405,15 +404,13 @@ def finite_dim_neg_log_cdf(
     spatial : SmithParams
     markov : MarkovParams
         Must carry a planar translation.
-    exponent : SmithExponentOracle, optional
-        Supplied to share quadrature setup across calls; built on demand.
     """
     if len(points) == 0:
         raise ValidationError("at least one point is required")
     m_total = len(points)
-    if m_total > SmithExponentOracle.MAX_POINTS:
+    if m_total > _MAX_JOINT_POINTS:
         raise CapabilityError(
-            f"joint CDF supports at most {SmithExponentOracle.MAX_POINTS} points, "
+            f"joint CDF supports at most {_MAX_JOINT_POINTS} points, "
             f"got {m_total}"
         )
     z = np.asarray(z, dtype=float)
@@ -431,7 +428,6 @@ def finite_dim_neg_log_cdf(
         raise ValidationError("dates must be sorted non-decreasing")
     tau = markov.tau_array()
     a = markov.a
-    oracle = exponent if exponent is not None else SmithExponentOracle(spatial)
 
     if m_total == 1:
         return 1.0 / float(z[0])
@@ -441,7 +437,7 @@ def finite_dim_neg_log_cdf(
     shifts = dates - dates[0]
     block_coords = coords - shifts[:, None] * tau
     block_z = z / a ** shifts
-    total += oracle.value(block_coords, block_z)
+    total += _smith_exponent(block_coords, block_z, spatial)
     # Innovations strictly between consecutive dates couple the tail points.
     for m in range(1, m_total - 1):
         gap = dates[m] - dates[m - 1]
@@ -450,7 +446,7 @@ def finite_dim_neg_log_cdf(
         shifts = dates[m:] - dates[m]
         block_coords = coords[m:] - shifts[:, None] * tau
         block_z = z[m:] / a ** shifts
-        total += (1.0 - a ** gap) * oracle.value(block_coords, block_z)
+        total += (1.0 - a ** gap) * _smith_exponent(block_coords, block_z, spatial)
     # Innovations after the previous date reaching only the last point.
     last_gap = dates[-1] - dates[-2]
     total += (1.0 - a ** last_gap) / float(z[-1])

@@ -47,7 +47,7 @@ from scipy import integrate
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .errors import CapabilityError, NumericalError, ResourceError, ValidationError
+from .errors import NumericalError, ResourceError, ValidationError
 from .geometry import PlanarSite, SphereSite, SiteSet
 from .point_process import STORM_CAP, SeededStream
 
@@ -66,7 +66,6 @@ __all__ = [
     "smith_exponent_bivariate",
     "smith_exponent_numeric",
     "mahalanobis_distance",
-    "SmithExponentOracle",
 ]
 
 logger = logging.getLogger(__name__)
@@ -718,31 +717,14 @@ def smith_exponent_numeric(
     return float(value)
 
 
-class SmithExponentOracle:
-    """Evaluates the M-variate Smith exponent for joint CDF assembly.
+def _smith_exponent(coords: np.ndarray, z: np.ndarray, params: SmithParams) -> float:
+    """M-variate Smith exponent at ``z`` for the sites ``coords``.
 
-    Pairs go through the closed form, three and four points through
-    adaptive quadrature; anything larger is outside the supported envelope.
-    Coordinates are taken relative to a common origin (translation
-    invariance of the storm process makes the origin irrelevant).
+    Two points go through the closed form, more through adaptive
+    quadrature.  Coordinates may be taken relative to any common origin: the
+    storm process is translation invariant.
     """
-
-    MAX_POINTS = 4
-
-    def __init__(self, params: SmithParams):
-        self.params = params
-
-    def value(self, coords: np.ndarray, z: np.ndarray) -> float:
-        coords = np.asarray(coords, dtype=float)
-        z = np.asarray(z, dtype=float)
-        m = coords.shape[0]
-        if m == 1:
-            return 1.0 / float(z[0])
-        if m == 2:
-            h = float(mahalanobis_distance(coords[1] - coords[0], self.params))
-            return smith_exponent_bivariate(float(z[0]), float(z[1]), h).V
-        if m <= self.MAX_POINTS:
-            return smith_exponent_numeric(SiteSet.planar(coords), z, self.params)
-        raise CapabilityError(
-            f"joint evaluation supports at most {self.MAX_POINTS} points, got {m}"
-        )
+    if coords.shape[0] == 2:
+        h = float(mahalanobis_distance(coords[1] - coords[0], params))
+        return smith_exponent_bivariate(float(z[0]), float(z[1]), h).V
+    return smith_exponent_numeric(SiteSet.planar(coords), z, params)

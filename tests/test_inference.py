@@ -30,13 +30,14 @@ from maxstorm import (
 )
 from maxstorm import inference
 from maxstorm.inference import (
-    ParameterTransform,
+    _A,
+    _SIGMA,
+    _TAU,
+    _from_free,
     _log_pair_density,
     _nelder_mead,
     _prepared_pairs,
-    _sigma_transform,
-    _temporal_transform,
-    _theta_transform,
+    _to_free,
 )
 
 THETA0 = ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
@@ -344,41 +345,59 @@ class TestTransforms:
     )
     def test_sigma_transform_roundtrip(self, s11, s22, rho):
         s12 = rho * np.sqrt(s11 * s22)
-        tr = _sigma_transform()
         vec = np.array([s11, s12, s22])
-        back = tr.to_constrained(tr.to_unconstrained(vec))
+        theta = np.concatenate([vec, [0.5, 0.0, 0.0]])
+        back = _from_free(_to_free(theta, (_SIGMA,)), theta, (_SIGMA,))[:3]
         np.testing.assert_allclose(back, vec, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(0.01, 0.99), t1=st.floats(-5, 5), t2=st.floats(-5, 5))
     def test_temporal_transform_roundtrip_and_feasibility(self, a, t1, t2):
-        tr = _temporal_transform()
+        free = (_A, _TAU)
         vec = np.array([a, t1, t2])
-        u = tr.to_unconstrained(vec)
-        back = tr.to_constrained(u)
+        theta = np.concatenate([[1.0, 0.0, 1.0], vec])
+        u = _to_free(theta, free)
+        back = _from_free(u, theta, free)[3:]
         np.testing.assert_allclose(back, vec, rtol=1e-9, atol=1e-12)
         # Any unconstrained point must map into the feasible region.
-        wild = tr.to_constrained(np.array([37.0, -12.0, 99.0]))
+        wild = _from_free(np.array([37.0, -12.0, 99.0]), theta, free)[3:]
         assert 0.0 < wild[0] < 1.0
 
     def test_full_transform_keeps_sigma_positive_definite(self):
-        tr = _theta_transform()
+        base = THETA0.as_array()
         rng = np.random.default_rng(2)
         for _ in range(200):
             u = rng.normal(scale=3.0, size=6)
-            c = tr.to_constrained(u)
+            c = _from_free(u, base, (_SIGMA, _A, _TAU))
             assert c[0] > 0 and c[2] > 0
             assert c[0] * c[2] - c[1] ** 2 > 0
             assert 0.0 < c[3] < 1.0
 
+    def test_held_blocks_are_copied_bit_for_bit(self):
+        # This covariance does not survive a log-Cholesky round trip exactly,
+        # so only a copy keeps it; the objective drives a onto its clamp.
+        base = np.array([1.3, 0.37, 0.9, 0.6, 0.5, -0.5])
+        free = (_A, _TAU)
+        assert not np.array_equal(_from_free(_to_free(base, (_SIGMA,)), base, (_SIGMA,)), base)
+        seen = []
+
+        def objective(u):
+            theta = _from_free(u, base, free)
+            seen.append(theta)
+            return (theta[3] - 2.0) ** 2 + theta[4] ** 2 + theta[5] ** 2
+
+        _nelder_mead(objective, _to_free(base, free), FitOptions(max_evals=400))
+        seen = np.array(seen)
+        assert len(seen) > 100
+        np.testing.assert_array_equal(seen[:, :3], np.broadcast_to(base[:3], (len(seen), 3)))
+        assert np.all((seen[:, 3] > 0.0) & (seen[:, 3] < 1.0))
+
 
 class TestNelderMead:
-    IDENTITY = ParameterTransform(lambda x: x, lambda u: u)
-
     def test_quadratic_bowl(self):
         report = _nelder_mead(
             lambda x: (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2,
-            np.array([0.0, 0.0]), self.IDENTITY, FitOptions(),
+            np.array([0.0, 0.0]), FitOptions(),
         )
         np.testing.assert_allclose(report.x, [3.0, -2.0], atol=1e-5)
         assert report.success
@@ -387,18 +406,20 @@ class TestNelderMead:
         def rosen(x):
             return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
-        report = _nelder_mead(rosen, np.array([-1.2, 1.0]), self.IDENTITY, FitOptions())
+        report = _nelder_mead(rosen, np.array([-1.2, 1.0]), FitOptions())
         np.testing.assert_allclose(report.x, [1.0, 1.0], atol=1e-3)
 
     def test_feasibility_under_transform(self):
         seen = []
-        tr = _temporal_transform()
+        free = (_A, _TAU)
+        base = np.array([1.0, 0.0, 1.0, 0.9, 1.0, -1.0])
 
-        def objective(x):
+        def objective(u):
+            x = _from_free(u, base, free)[3:]
             seen.append(x.copy())
             return (x[0] - 0.4) ** 2 + x[1] ** 2 + x[2] ** 2
 
-        _nelder_mead(objective, np.array([0.9, 1.0, -1.0]), tr, FitOptions())
+        _nelder_mead(objective, _to_free(base, free), FitOptions())
         seen = np.array(seen)
         assert np.all((seen[:, 0] > 0.0) & (seen[:, 0] < 1.0))
 
@@ -406,7 +427,6 @@ class TestNelderMead:
         report = _nelder_mead(
             lambda x: np.sum(x ** 2),
             np.full(6, 10.0),
-            self.IDENTITY,
             FitOptions(max_evals=20),
         )
         assert not report.success
@@ -416,7 +436,7 @@ class TestNelderMead:
         def holey(x):
             return np.nan if x[0] > 1.0 else (x[0] - 0.5) ** 2
 
-        report = _nelder_mead(holey, np.array([0.0]), self.IDENTITY, FitOptions())
+        report = _nelder_mead(holey, np.array([0.0]), FitOptions())
         assert abs(report.x[0] - 0.5) < 1e-4
 
 
@@ -452,6 +472,31 @@ class TestFits:
             report = fit_scheme1(data, init)
             assert (report.theta_hat.a > 1.0 - 1e-9) is at_clamp
             assert report.converged is not at_clamp
+
+    def test_scheme1_holds_covariance_estimate_in_second_stage(self, monkeypatch):
+        # Every space-time evaluation, scan included, sees the covariance
+        # exactly as the same-date stage found it: its best evaluated point.
+        seen, spatial_seen = [], []
+        st_original = inference._eval_st_loglik
+        spatial_original = inference._eval_spatial_loglik
+
+        def recording(prepared, theta):
+            seen.append(theta)
+            return st_original(prepared, theta)
+
+        def spatial_recording(prepared, sigma):
+            value = spatial_original(prepared, sigma)
+            spatial_seen.append((value, sigma))
+            return value
+
+        monkeypatch.setattr(inference, "_eval_st_loglik", recording)
+        monkeypatch.setattr(inference, "_eval_spatial_loglik", spatial_recording)
+        data = _sim(780, n_dates=5, n_sites=5)
+        init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        report = fit_scheme1(data, init, FitOptions(max_evals=300))
+        assert len(seen) > 244
+        assert all(theta.smith == report.theta_hat.smith for theta in seen)
+        assert report.theta_hat.smith == max(spatial_seen, key=lambda s: s[0])[1]
 
     def test_report_counts_pairs(self):
         data = _sim(779, n_dates=5, n_sites=4)

@@ -13,12 +13,12 @@ from maxstorm import (
     SchlatherParams,
     SeededStream,
     SiteSet,
-    SmithExponentOracle,
     SmithParams,
     ValidationError,
     VmfParams,
     correlation_powered_exponential,
     fibonacci_sphere,
+    finite_dim_neg_log_cdf,
     gaussian_density_2d,
     simulate_schlather,
     simulate_smith,
@@ -398,15 +398,17 @@ class TestSmithExponent:
         val = smith_exponent_numeric(sites, np.array([1.0, 1.0, 1.0]), smith_identity)
         assert smith_exponent_bivariate(1.0, 1.0, 2.0).V < val <= 3.0
 
-    def test_oracle_point_cap(self, smith_identity):
-        oracle = SmithExponentOracle(smith_identity)
+    def test_oracle_point_cap(self, smith_identity, markov_standard):
         coords = np.random.default_rng(0).uniform(0, 1, (5, 2))
+        points = [(1, c) for c in coords]
         with pytest.raises(CapabilityError):
-            oracle.value(coords, np.ones(5))
+            finite_dim_neg_log_cdf(points, np.ones(5), smith_identity, markov_standard)
 
-    def test_oracle_pair_routing_matches_closed_form(self, smith_identity):
-        oracle = SmithExponentOracle(smith_identity)
-        coords = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert oracle.value(coords, np.array([1.0, 1.0])) == pytest.approx(
-            smith_exponent_bivariate(1.0, 1.0, 2.0).V, rel=1e-14
-        )
+    def test_oracle_pair_routing_matches_closed_form(self, smith_identity, markov_standard):
+        # Two same-date points: one closed-form block, plus 0.0 for the
+        # zero gap after it.
+        points = [(1, np.array([0.0, 0.0])), (1, np.array([0.0, 2.0]))]
+        got = finite_dim_neg_log_cdf(points, np.array([1.0, 1.0]), smith_identity, markov_standard)
+        v = smith_exponent_bivariate(1.0, 1.0, 2.0).V
+        assert got == pytest.approx(v, rel=1e-14)
+        assert got == v + 0.0
