@@ -30,11 +30,15 @@ names its objective, the parameter blocks it frees and its starts.  Scheme 1
 runs two: the same-date objective over the covariance block from the initial
 value, then the space-time objective over the ``a`` and ``tau`` blocks from
 the starts of a coarse scan.  Scheme 2 runs one: the space-time objective
-over all three blocks from the same scan's starts.  One blockwise map takes
-each free block onto all of R^k (log-Cholesky for the covariance, logit for
-``a``, identity for ``tau``); a held block is copied as it is, so scheme 1
-keeps its covariance estimate bit for bit.  Each start is refined by scipy's
-Nelder-Mead, derivative-free and bounded by an evaluation budget.
+over all three blocks from the same scan's starts.  The scan only ranks
+lattice points, so it scores the space-time objective on the terms of the
+fit's two shortest distinct time lags, the pairs that carry most of the
+information about ``tau``; the refinement and the reported log likelihood
+use every term.  One blockwise map takes each free block onto all of R^k
+(log-Cholesky for the covariance, logit for ``a``, identity for ``tau``); a
+held block is copied as it is, so scheme 1 keeps its covariance estimate bit
+for bit.  Each start is refined by scipy's Nelder-Mead, derivative-free and
+bounded by an evaluation budget.
 """
 
 from __future__ import annotations
@@ -171,7 +175,8 @@ class FitReport:
     """Outcome of one pairwise-likelihood fit.
 
     ``iterations`` counts the objective evaluations of the simplex runs,
-    restarts included; the 244-evaluation start scan is not in it.
+    restarts included; the 244-evaluation start scan, which scores only the
+    terms of the two shortest time lags, is not in it.
     """
 
     theta_hat: ThetaVector
@@ -622,13 +627,35 @@ _SCAN_A = (0.35, 0.6, 0.8)
 _SCAN_RADIUS = 6.0
 _SCAN_MESH = 9
 _SCAN_STARTS = 3
+_SCAN_LAGS = 2
 _BASIN_SEP = 2.0
+
+
+def _short_lag_pairs(
+    data: SpaceTimeField, pairs: _PreparedPairs, max_space_dist: float | None
+) -> _PreparedPairs:
+    """``pairs`` restricted to its ``_SCAN_LAGS`` smallest distinct time lags.
+
+    The lags are those of the table, so any time cutoff it was built with is
+    already applied and its second-smallest lag lies within that cutoff.  A
+    table with no more lags than that is returned as it is.
+    """
+    lags = np.unique(pairs.lag)
+    if lags.size <= _SCAN_LAGS:
+        return pairs
+    weights = PairWeights.cutoff(
+        data.dates, data.sites.coords, float(lags[_SCAN_LAGS - 1]), max_space_dist
+    )
+    return _prepare_st_pairs(data, weights)
 
 
 def _temporal_start_candidates(
     prepared: _PreparedPairs, theta: np.ndarray
 ) -> list[np.ndarray]:
     """Coarse objective scan proposing starting points for ``(a, tau)``.
+
+    ``prepared`` is the table scored; a fit passes its short-lag table from
+    :func:`_short_lag_pairs`, a fifth of the terms on a 20-date record.
 
     The simplex search has a trap: once ``a`` drifts small, lagged pairs
     look independent and the objective goes flat in ``tau``, so a neutral
@@ -640,8 +667,9 @@ def _temporal_start_candidates(
     coefficient values.  The peak can be narrower than the lattice spacing,
     so instead of trusting the single best cell the top few candidates from
     mutually distant basins are all returned for refinement; the ``(a, tau)``
-    of ``theta`` always competes, so a good explicit start is never
-    discarded.  Each start is ``theta`` with its ``(a, tau)`` replaced.
+    of ``theta`` always competes on the scored terms, so a good explicit
+    start is not discarded.  Each start is ``theta`` with its ``(a, tau)``
+    replaced.
     """
     sigma = SmithParams(*theta[:3])
     chol = np.linalg.cholesky(np.asarray(sigma.sigma))
@@ -703,6 +731,7 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     )
     spatial_pairs = _prepare_spatial_pairs(data, weights) if scheme == 1 else None
     st_pairs = _prepare_st_pairs(data, weights)
+    scan_pairs = _short_lag_pairs(data, st_pairs, opts.max_space_dist)
 
     def neg_spatial(theta: ThetaVector) -> float:
         return -_eval_spatial_loglik(spatial_pairs, theta.smith)
@@ -711,7 +740,7 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
         return -_eval_st_loglik(st_pairs, theta)
 
     def scan(theta: np.ndarray) -> list[np.ndarray]:
-        return _temporal_start_candidates(st_pairs, theta)
+        return _temporal_start_candidates(scan_pairs, theta)
 
     if scheme == 1:
         stages = [

@@ -33,10 +33,13 @@ from maxstorm.inference import (
     _A,
     _SIGMA,
     _TAU,
+    _eval_st_loglik,
     _from_free,
     _log_pair_density,
     _nelder_mead,
+    _prepare_st_pairs,
     _prepared_pairs,
+    _short_lag_pairs,
     _to_free,
 )
 
@@ -497,6 +500,48 @@ class TestFits:
         assert len(seen) > 244
         assert all(theta.smith == report.theta_hat.smith for theta in seen)
         assert report.theta_hat.smith == max(spatial_seen, key=lambda s: s[0])[1]
+
+    def test_scan_table_is_the_two_shortest_lags(self):
+        data = _sim(782, n_dates=6, n_sites=5)
+        dates, coords = data.dates, data.sites.coords
+        scan_pairs = _short_lag_pairs(data, _prepare_st_pairs(data, None), None)
+        short = PairWeights.cutoff(dates, coords, 2.0)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            theta = ThetaVector(
+                rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
+                rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+            )
+            assert _eval_st_loglik(scan_pairs, theta) == pairwise_loglik(data, theta, short)
+        # A table of at most two lags is scanned as it is.
+        lag_one = _prepare_st_pairs(data, PairWeights.cutoff(dates, coords, 1.0))
+        assert _short_lag_pairs(data, lag_one, None) is lag_one
+
+    @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
+    def test_scan_scores_short_lags_and_refinement_all_terms(self, monkeypatch, fit):
+        seen = []
+        original = inference._eval_st_loglik
+
+        def recording(prepared, theta):
+            seen.append(prepared.n_terms)
+            return original(prepared, theta)
+
+        monkeypatch.setattr(inference, "_eval_st_loglik", recording)
+        data = _sim(783, n_dates=6, n_sites=5)
+        report = fit(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0), FitOptions(max_evals=100))
+        # 6 dates x 5 sites: lags 1 and 2 hold (5 + 4) date pairs x 10 site pairs.
+        assert seen.count(90) == 244
+        assert report.n_pairs == 150
+        assert all(n == 150 for n in seen if n != 90)
+        assert len(seen) > 244
+
+    @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
+    def test_estimate_invariant_under_date_shift(self, fit):
+        data = _sim(784, n_dates=6, n_sites=5)
+        shifted = SpaceTimeField(data.sites, data.dates + 100, data.values)
+        init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        opts = FitOptions(max_evals=200)
+        assert fit(shifted, init, opts) == fit(data, init, opts)
 
     def test_report_counts_pairs(self):
         data = _sim(779, n_dates=5, n_sites=4)

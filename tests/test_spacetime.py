@@ -222,7 +222,12 @@ class TestFiniteDimensionalCdf:
             hits += bool(ok)
         assert abs(-np.log(hits / n) - exact) <= 0.03
 
-    def test_five_points_outside_envelope(self, smith_identity, markov_standard):
-        pts = [(t, np.array([float(t), 0.0])) for t in range(1, 6)]
+    @pytest.mark.parametrize("pts", [
+        pytest.param([(t, np.array([float(t), 0.0])) for t in range(1, 6)], id="five_dates"),
+        pytest.param(
+            [(1, c) for c in np.random.default_rng(0).uniform(0, 1, (5, 2))], id="one_date"
+        ),
+    ])
+    def test_five_points_outside_envelope(self, pts, smith_identity, markov_standard):
         with pytest.raises(CapabilityError):
             finite_dim_neg_log_cdf(pts, np.ones(5), smith_identity, markov_standard)

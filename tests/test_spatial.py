@@ -8,7 +8,6 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from maxstorm import (
-    CapabilityError,
     ResourceError,
     SchlatherParams,
     SeededStream,
@@ -397,12 +396,6 @@ class TestSmithExponent:
         sites = SiteSet.planar(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         val = smith_exponent_numeric(sites, np.array([1.0, 1.0, 1.0]), smith_identity)
         assert smith_exponent_bivariate(1.0, 1.0, 2.0).V < val <= 3.0
-
-    def test_oracle_point_cap(self, smith_identity, markov_standard):
-        coords = np.random.default_rng(0).uniform(0, 1, (5, 2))
-        points = [(1, c) for c in coords]
-        with pytest.raises(CapabilityError):
-            finite_dim_neg_log_cdf(points, np.ones(5), smith_identity, markov_standard)
 
     def test_oracle_pair_routing_matches_closed_form(self, smith_identity, markov_standard):
         # Two same-date points: one closed-form block, plus 0.0 for the
