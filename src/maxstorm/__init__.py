@@ -31,10 +31,8 @@ from .errors import (
 )
 from .fieldio import read_field, read_meta, write_field, write_meta
 from .geometry import (
-    PlanarSite,
     RotationSpec,
     SiteSet,
-    SphereSite,
     fibonacci_sphere,
     rotation_matrix,
     square_grid,
@@ -95,7 +93,6 @@ __all__ = [
     "MaxstormError",
     "NumericalError",
     "PairWeights",
-    "PlanarSite",
     "ReplicateRecord",
     "ResourceError",
     "RotationSpec",
@@ -105,7 +102,6 @@ __all__ = [
     "SmithParams",
     "SpaceTimeField",
     "SpatialField",
-    "SphereSite",
     "StudyConfig",
     "StudyResult",
     "StudySummaryRow",

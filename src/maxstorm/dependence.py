@@ -75,7 +75,7 @@ def extremal_coefficient(lag: LagSpec, spatial: SmithParams, markov: MarkovParam
     tau = markov.tau_array()
     al = a ** l
     h1 = float(mahalanobis_distance(h - l * tau, spatial))
-    value = smith_exponent_bivariate(1.0, 1.0 / al, h1).V + 1.0 - al
+    value = smith_exponent_bivariate(1.0, 1.0 / al, h1) + 1.0 - al
     # Clip roundoff just outside the theoretical range.
     return float(min(max(value, 1.0), 2.0))
 

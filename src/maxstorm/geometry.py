@@ -3,8 +3,9 @@
 Planar sites move by translation (a plain coordinate subtraction in the
 recursion), spherical sites by rotation about a fixed axis.  Both realize
 the one-step space shift of the Markovian field models, so the code here is
-kept deliberately small and pure: immutable value types plus a handful of
-vectorized helpers.  Angles are radians everywhere.
+kept deliberately small and pure: a site set over a read-only coordinate
+array, a rotation spec and a handful of vectorized helpers.  A single site
+is a plain coordinate array.  Angles are radians everywhere.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "PlanarSite",
-    "SphereSite",
     "RotationSpec",
     "SiteSet",
     "rotation_matrix",
@@ -37,39 +36,6 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValidationError(f"{name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class PlanarSite:
-    """A point of the plane in the model's abstract length unit."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self) -> None:
-        _require_finite("PlanarSite coordinate", self.x1, self.x2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2], dtype=float)
-
-
-@dataclass(frozen=True)
-class SphereSite:
-    """A point of the unit sphere, stored as a 3-vector of norm one."""
-
-    v: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        _require_finite("SphereSite component", *self.v)
-        norm = math.sqrt(sum(c * c for c in self.v))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValidationError(
-                f"SphereSite must have unit norm within {UNIT_NORM_TOL:g}, "
-                f"got norm {norm!r}; renormalize explicitly via unit_vector()"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -102,7 +68,7 @@ class RotationSpec:
         return np.array(self.axis, dtype=float)
 
 
-def unit_vector(v: np.ndarray, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def unit_vector(v: np.ndarray) -> np.ndarray:
     """Return ``v`` rescaled to unit norm.
 
     The explicit helper for callers holding an almost-unit vector; value

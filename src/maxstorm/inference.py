@@ -53,7 +53,6 @@ from scipy.optimize import OptimizeResult, minimize
 from scipy.special import ndtr
 
 from .errors import DegeneratePairError, NumericalError, ValidationError
-from .geometry import PlanarSite
 from .spacetime import MarkovParams, SpaceTimeField
 from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, mahalanobis_distance
 
@@ -73,9 +72,6 @@ logger = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = math.log(DENSITY_FLOOR)
-# Fixed reduction blocks keep the objective bit-stable regardless of how
-# many worker threads drive replicate-level parallelism above us.
-_SUM_BLOCK = 65536
 # Terms evaluated at once, every step writing into one work array per
 # evaluation.  Whole-array temporaries (289 KiB each at 36,100 terms) each
 # cost a fresh mapping whenever glibc's mmap threshold sits at its 128 KiB
@@ -364,8 +360,8 @@ def bivariate_density(
     z2: float,
     t1: float,
     t2: float,
-    x1: PlanarSite | np.ndarray,
-    x2: PlanarSite | np.ndarray,
+    x1: np.ndarray,
+    x2: np.ndarray,
     theta: ThetaVector,
 ) -> float:
     """Exact density of ``(X(t1, x1), X(t2, x2))`` at ``(z1, z2)``.
@@ -376,8 +372,8 @@ def bivariate_density(
     """
     if not (z1 > 0 and z2 > 0):
         raise ValidationError(f"z1, z2 must be positive, got {z1!r}, {z2!r}")
-    c1 = x1.as_array() if isinstance(x1, PlanarSite) else np.asarray(x1, dtype=float)
-    c2 = x2.as_array() if isinstance(x2, PlanarSite) else np.asarray(x2, dtype=float)
+    c1 = np.asarray(x1, dtype=float)
+    c2 = np.asarray(x2, dtype=float)
     if t1 > t2:
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1
@@ -436,14 +432,6 @@ def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _Pre
     return _prepared_pairs(z1, z2, weight, key, np.repeat(lags, sk.size), dx)
 
 
-def _blocked_sum(terms: np.ndarray) -> float:
-    # Fixed-size blocks, pairwise within and across: bit-stable by layout.
-    if terms.size <= _SUM_BLOCK:
-        return float(np.sum(terms))
-    edges = np.arange(0, terms.size, _SUM_BLOCK)
-    return float(np.sum(np.add.reduceat(terms, edges)))
-
-
 def _eval_st_loglik(prepared: _PreparedPairs, theta: ThetaVector) -> float:
     h = mahalanobis_distance(
         prepared.dx - prepared.lag[:, None] * theta.markov.tau_array(), theta.smith
@@ -452,7 +440,7 @@ def _eval_st_loglik(prepared: _PreparedPairs, theta: ThetaVector) -> float:
     if n_floored:
         logger.debug("pairwise objective floored %d of %d terms", n_floored, logf.size)
     logf *= prepared.weight
-    return _blocked_sum(logf)
+    return float(np.sum(logf))
 
 
 def pairwise_loglik(
@@ -464,8 +452,9 @@ def pairwise_loglik(
 
     Exactly ``C(N,2) * C(M,2)`` terms contribute under default weights: the
     observation at ``(t_i, x_k)`` pairs with the one at ``(t_j, x_l)`` for
-    ``i < j`` and ``k < l``.  Deterministic blocked summation makes the
-    value bit-stable across thread counts.
+    ``i < j`` and ``k < l``.  The terms are summed by one ``np.sum`` over a
+    contiguous array, whose pairwise reduction order depends only on the
+    term count, so the value is the same bits on every run.
     """
     return _eval_st_loglik(_prepare_st_pairs(data, weights), theta)
 
@@ -507,7 +496,7 @@ def _eval_spatial_loglik(prepared: _PreparedPairs, sigma: SmithParams) -> float:
     if n_floored:
         logger.debug("spatial objective floored %d of %d terms", n_floored, logf.size)
     logf *= prepared.weight
-    return _blocked_sum(logf)
+    return float(np.sum(logf))
 
 
 def spatial_pairwise_loglik(
@@ -631,22 +620,21 @@ _SCAN_LAGS = 2
 _BASIN_SEP = 2.0
 
 
-def _short_lag_pairs(
-    data: SpaceTimeField, pairs: _PreparedPairs, max_space_dist: float | None
-) -> _PreparedPairs:
+def _short_lag_pairs(pairs: _PreparedPairs) -> _PreparedPairs:
     """``pairs`` restricted to its ``_SCAN_LAGS`` smallest distinct time lags.
 
-    The lags are those of the table, so any time cutoff it was built with is
-    already applied and its second-smallest lag lies within that cutoff.  A
-    table with no more lags than that is returned as it is.
+    The lags are those of the table, so any cutoff it was built with is
+    already applied.  The terms on longer lags get weight zero and are
+    dropped, with the table rows only they used.  A table with no more lags
+    than that is returned as it is.
     """
     lags = np.unique(pairs.lag)
     if lags.size <= _SCAN_LAGS:
         return pairs
-    weights = PairWeights.cutoff(
-        data.dates, data.sites.coords, float(lags[_SCAN_LAGS - 1]), max_space_dist
+    short = (pairs.lag <= lags[_SCAN_LAGS - 1])[pairs.row]
+    return _prepared_pairs(
+        pairs.z1, pairs.z2, pairs.weight * short, pairs.row, pairs.lag, pairs.dx
     )
-    return _prepare_st_pairs(data, weights)
 
 
 def _temporal_start_candidates(
@@ -731,7 +719,7 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     )
     spatial_pairs = _prepare_spatial_pairs(data, weights) if scheme == 1 else None
     st_pairs = _prepare_st_pairs(data, weights)
-    scan_pairs = _short_lag_pairs(data, st_pairs, opts.max_space_dist)
+    scan_pairs = _short_lag_pairs(st_pairs)
 
     def neg_spatial(theta: ThetaVector) -> float:
         return -_eval_spatial_loglik(spatial_pairs, theta.smith)

@@ -6,7 +6,9 @@ translation by a rotation about a fixed axis.  Both recursions are simulated
 exactly: the innovation of date ``t`` is evaluated on the enlarged site set
 containing every shifted copy of the output grid that later dates will read,
 so no interpolation ever happens, and the chain starts in its stationary
-state (the first date is itself one innovation draw).
+state (the first date is itself one innovation draw).  The simulators return
+the field alone; the state is kept only on the entries later dates read.
+Sites of the joint CDF are plain coordinate pairs.
 
 Also here: the truncated moving-maximum form of the same process (an oracle
 for distributional tests; the discarded tail carries Frechet mass
@@ -26,7 +28,6 @@ from .errors import CapabilityError, ResourceError, ValidationError
 from .geometry import RotationSpec, SiteSet, rotation_matrix
 from .point_process import STORM_CAP, SeededStream
 from .spatial import (
-    EPS_TAIL,
     SCHLATHER_MAX_SITES,
     SchlatherParams,
     SmithParams,
@@ -40,7 +41,6 @@ from .spatial import (
 __all__ = [
     "MarkovParams",
     "SpaceTimeField",
-    "MarkovInternals",
     "simulate_markov_planar",
     "simulate_markov_sphere",
     "truncated_moving_max",
@@ -115,21 +115,6 @@ class SpaceTimeField:
         return len(self.sites)
 
 
-@dataclass(frozen=True)
-class MarkovInternals:
-    """Recursion state on the enlarged site set, kept for exactness checks.
-
-    Entry ``k = lag * M + m`` holds the site of the output grid's ``m``-th
-    point shifted back ``lag`` steps.  ``state[i]`` and ``innovations[i]``
-    are defined on the first ``(N - i) * M`` entries of date ``i`` (0-based)
-    and NaN beyond.
-    """
-
-    state: np.ndarray
-    innovations: np.ndarray
-    a: float
-
-
 def _entry_coords_planar(grid: np.ndarray, n_dates: int, tau: np.ndarray) -> np.ndarray:
     m = grid.shape[0]
     coords = np.empty((n_dates * m, 2))
@@ -160,7 +145,7 @@ def _innovation(
     Returns the values, the storms used and the storm-entry evaluations.
     """
     if isinstance(spatial, SmithParams):
-        return _smith_values(coords, spatial, stream.generator(), EPS_TAIL, STORM_CAP)
+        return _smith_values(coords, spatial, stream.generator(), STORM_CAP)
     if isinstance(spatial, SchlatherParams):
         field_ = simulate_schlather(SiteSet.planar(coords), spatial, stream, n_storms)
         meta = field_.meta
@@ -178,10 +163,16 @@ def _simulate_markov(
     markov: MarkovParams,
     stream: SeededStream,
     n_storms: int,
-    return_internals: bool,
-) -> SpaceTimeField | tuple[SpaceTimeField, MarkovInternals]:
+) -> SpaceTimeField:
+    """Run the recursion on the enlarged site set ``entry_coords``.
+
+    Entry ``k = lag * M + m`` holds the ``m``-th output site shifted back
+    ``lag`` steps.  The state after date ``i`` (0-based) is needed only on
+    the first ``(N - i) * M`` entries, the ones later dates still read, so
+    each date draws its innovation there and the state shrinks by ``M``
+    entries a date.
+    """
     m = len(site_set)
-    n_entries = n_dates * m
     a = markov.a
     if isinstance(spatial, SchlatherParams):
         distinct = np.unique(entry_coords, axis=0).shape[0]
@@ -193,46 +184,27 @@ def _simulate_markov(
             )
 
     out = np.empty((n_dates, m))
-    keep_state = np.full((n_dates, n_entries), np.nan) if return_internals else None
-    keep_innov = np.full((n_dates, n_entries), np.nan) if return_internals else None
-
     # Stationary start: the first date is one innovation draw on the full
     # enlarged set, so the chain needs no burn-in.
     state, n_used, n_evals = _innovation(entry_coords, spatial, stream.child(0), n_storms)
     storm_counts = [n_used]
     eval_counts = [n_evals]
     out[0] = state[:m]
-    if return_internals:
-        keep_state[0] = state
-        keep_innov[0] = state
     for i in range(1, n_dates):
         n_active = (n_dates - i) * m
-        active_coords = entry_coords[:n_active]
-        z, n_used, n_evals = _innovation(active_coords, spatial, stream.child(i), n_storms)
+        z, n_used, n_evals = _innovation(
+            entry_coords[:n_active], spatial, stream.child(i), n_storms
+        )
         storm_counts.append(n_used)
         eval_counts.append(n_evals)
-        new_state = np.empty(n_entries)
-        new_state[:n_active] = np.maximum(a * state[m : n_active + m], (1.0 - a) * z)
-        new_state[n_active:] = np.nan
-        state = new_state
+        state = np.maximum(a * state[m:], (1.0 - a) * z)
         out[i] = state[:m]
-        if return_internals:
-            keep_state[i] = state
-            keep_innov[i, :n_active] = z
 
     meta = {
         "n_storms_per_date": tuple(storm_counts),
         "n_storm_evals_per_date": tuple(eval_counts),
     }
-    field_ = SpaceTimeField(site_set, np.arange(1, n_dates + 1), out, meta)
-    if not return_internals:
-        return field_
-    internals = MarkovInternals(
-        state=keep_state,
-        innovations=keep_innov,
-        a=a,
-    )
-    return field_, internals
+    return SpaceTimeField(site_set, np.arange(1, n_dates + 1), out, meta)
 
 
 def simulate_markov_planar(
@@ -243,8 +215,7 @@ def simulate_markov_planar(
     stream: SeededStream,
     *,
     n_storms: int = 1000,
-    return_internals: bool = False,
-) -> SpaceTimeField | tuple[SpaceTimeField, MarkovInternals]:
+) -> SpaceTimeField:
     """Simulate the planar max-autoregression on ``grid`` for ``n_dates`` dates.
 
     Parameters
@@ -261,8 +232,6 @@ def simulate_markov_planar(
         Master stream; one child per date plus one for the start.
     n_storms : int
         Storm cap per innovation, Schlather only.
-    return_internals : bool
-        Also return the enlarged-set state for exactness checks.
     """
     if grid.kind != "planar":
         raise ValidationError("simulate_markov_planar requires planar sites")
@@ -272,9 +241,7 @@ def simulate_markov_planar(
         raise ValidationError("planar innovations must be Smith or Schlather")
     tau = markov.tau_array()
     entry_coords = _entry_coords_planar(np.asarray(grid.coords), n_dates, tau)
-    return _simulate_markov(
-        grid, entry_coords, n_dates, spatial, markov, stream, n_storms, return_internals
-    )
+    return _simulate_markov(grid, entry_coords, n_dates, spatial, markov, stream, n_storms)
 
 
 def simulate_markov_sphere(
@@ -283,9 +250,7 @@ def simulate_markov_sphere(
     spatial: VmfParams,
     markov: MarkovParams,
     stream: SeededStream,
-    *,
-    return_internals: bool = False,
-) -> SpaceTimeField | tuple[SpaceTimeField, MarkovInternals]:
+) -> SpaceTimeField:
     """Simulate the spherical max-autoregression on ``mesh``.
 
     The value at ``x`` and date ``t`` reads the previous date at the rotated
@@ -303,9 +268,7 @@ def simulate_markov_sphere(
     entry_coords = _entry_coords_sphere(
         np.asarray(mesh.coords), n_dates, markov.rotation
     )
-    return _simulate_markov(
-        mesh, entry_coords, n_dates, spatial, markov, stream, 1000, return_internals
-    )
+    return _simulate_markov(mesh, entry_coords, n_dates, spatial, markov, stream, 1000)
 
 
 def truncated_moving_max(
@@ -398,7 +361,7 @@ def finite_dim_neg_log_cdf(
     Parameters
     ----------
     points : list of (date, site)
-        Site as a planar coordinate pair or :class:`~maxstorm.geometry.PlanarSite`.
+        Site as a planar coordinate pair.
     z : array of positive reals
         Thresholds, one per point.
     spatial : SmithParams
@@ -419,9 +382,7 @@ def finite_dim_neg_log_cdf(
     if not np.all(z > 0):
         raise ValidationError("z must be strictly positive")
     dates = np.array([float(p[0]) for p in points])
-    coords = np.array(
-        [p[1].as_array() if hasattr(p[1], "as_array") else np.asarray(p[1], dtype=float) for p in points]
-    )
+    coords = np.array([np.asarray(p[1], dtype=float) for p in points])
     if coords.shape != (m_total, 2):
         raise ValidationError("sites must be planar coordinate pairs")
     if np.any(np.diff(dates) < 0):

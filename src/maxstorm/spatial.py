@@ -21,7 +21,7 @@ storm window larger in area than six disks of the buffer radius ``r_buf``
 is instead binned into cells of side at most ``r_buf / 2``, and each storm is
 evaluated only at the sites within ``r_buf`` of its cell.  A storm farther
 from a site reaches it only through Gaussian mass outside that disk, at
-most ``eps_tail / 4`` of its scale, inside the leak the window already
+most ``EPS_TAIL / 4`` of its scale, inside the leak the window already
 allows.  Both evaluations consume the same draws, and their values differ
 only where a storm outside that disk would have set the maximum.
 
@@ -29,9 +29,11 @@ Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
 (Smith, sphere) and approximately so for Schlather.
 
-The closed-form bivariate Smith exponent and its derivatives, together with
-an adaptive-quadrature evaluation of the M-variate exponent, live here as
-well; inference composes them into space-time quantities.
+The closed-form bivariate Smith exponent, together with an
+adaptive-quadrature evaluation of the M-variate exponent, lives here as
+well; dependence and the joint CDF compose it into space-time quantities.
+Sites enter as coordinate arrays, wrapped in a
+:class:`~maxstorm.geometry.SiteSet` where a whole set is meant.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from .errors import NumericalError, ResourceError, ValidationError
-from .geometry import PlanarSite, SphereSite, SiteSet
+from .geometry import SiteSet
 from .point_process import STORM_CAP, SeededStream
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "SchlatherParams",
     "VmfParams",
     "SpatialField",
-    "BivariateExponent",
     "gaussian_density_2d",
     "simulate_smith",
     "simulate_schlather",
@@ -79,6 +80,12 @@ EPS_TAIL = 1e-6
 H_COMPLETE_DEP = 1e-8
 # Dense-site cap for the Schlather correlation Cholesky.
 SCHLATHER_MAX_SITES = 4000
+# Stopping envelope of the unbounded Schlather spectral functions: a storm
+# whose Gaussian process exceeds it somewhere may be cut off too early.
+SCHLATHER_B_MAX = 4.0
+# Quadrature tolerances of smith_exponent_numeric.
+_QUAD_EPSABS = 1e-9
+_QUAD_EPSREL = 1e-7
 _KAPPA_SERIES_CUTOFF = 1e-4
 
 
@@ -130,13 +137,13 @@ class SmithParams:
         tr, det = self.sigma11 + self.sigma22, self.det
         return 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
 
-    def buffer_radius(self, eps_tail: float = EPS_TAIL) -> float:
-        """Window buffer leaving at most ``eps_tail`` of any site's scale outside.
+    def buffer_radius(self) -> float:
+        """Window buffer leaving at most ``EPS_TAIL`` of any site's scale outside.
 
         Chernoff bound on the Gaussian tail along the worst axis, with a
         factor 4 covering both axes and both signs.
         """
-        return math.sqrt(2.0 * self.largest_eigenvalue * math.log(4.0 / eps_tail))
+        return math.sqrt(2.0 * self.largest_eigenvalue * math.log(4.0 / EPS_TAIL))
 
 
 @dataclass(frozen=True)
@@ -185,12 +192,6 @@ class SpatialField:
         object.__setattr__(self, "values", values)
 
 
-def _as_planar_coords(x: PlanarSite | np.ndarray) -> np.ndarray:
-    if isinstance(x, PlanarSite):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
-
-
 def _quadratic_form(dx: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     """``dx' Sigma^{-1} dx`` over the last axis of ``(..., 2)`` offsets."""
     si = sigma_inv
@@ -201,9 +202,9 @@ def _quadratic_form(dx: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     )
 
 
-def gaussian_density_2d(x: PlanarSite | np.ndarray, params: SmithParams) -> float | np.ndarray:
+def gaussian_density_2d(x: np.ndarray, params: SmithParams) -> float | np.ndarray:
     """Centered bivariate Gaussian density, vectorized over ``(..., 2)`` input."""
-    q = _quadratic_form(_as_planar_coords(x), params.sigma_inv)
+    q = _quadratic_form(np.asarray(x, dtype=float), params.sigma_inv)
     out = np.exp(-0.5 * q) * params.density_bound
     return float(out) if out.ndim == 0 else out
 
@@ -329,25 +330,24 @@ def _smith_values(
     coords: np.ndarray,
     params: SmithParams,
     rng: np.random.Generator,
-    eps_tail: float,
     cap: int,
 ) -> tuple[np.ndarray, int, int]:
     """Exact Smith sample at ``coords`` via windowed storm generation.
 
     Storm centers are uniform on the bounding box of ``coords`` widened by
-    the buffer radius ``r_buf``, so at most ``eps_tail`` of any site's scale
+    the buffer radius ``r_buf``, so at most ``EPS_TAIL`` of any site's scale
     leaks.  Windows up to ``_LOCAL_AREA_DISKS`` disks of radius ``r_buf``
     evaluate every storm at every entry.  Larger windows evaluate each storm
     only at the entries of its cell's candidate list (:class:`_CandidateLists`),
     a superset of the entries within ``r_buf`` of it.  A storm farther away
     could raise an entry only through Gaussian mass outside that disk, at
-    most ``exp(-r_buf**2 / (2 lambda_max)) = eps_tail / 4`` of its scale,
+    most ``exp(-r_buf**2 / (2 lambda_max)) = EPS_TAIL / 4`` of its scale,
     which lies inside the leak the window already allows.  Both paths draw
     the same storms and compute each evaluated pair identically.
 
     Returns the values, the storms drawn and the storm-entry evaluations.
     """
-    r_buf = params.buffer_radius(eps_tail)
+    r_buf = params.buffer_radius()
     lo = coords.min(axis=0) - r_buf
     hi = coords.max(axis=0) + r_buf
     area = float(np.prod(hi - lo))
@@ -407,7 +407,6 @@ def simulate_smith(
     params: SmithParams,
     stream: SeededStream,
     *,
-    eps_tail: float = EPS_TAIL,
     cap: int = STORM_CAP,
 ) -> SpatialField:
     """Exact Smith-model sample restricted to a planar site set.
@@ -420,21 +419,19 @@ def simulate_smith(
         Storm-shape covariance.
     stream : SeededStream
         Randomness source; identical streams give identical fields.
-    eps_tail : float
-        Scale mass allowed to leak past the storm window per site.
     cap : int
         Hard limit on generated storms.
 
     Returns
     -------
     SpatialField
-        Field with standard Frechet margins (up to ``eps_tail``); the
+        Field with standard Frechet margins (up to ``EPS_TAIL``); the
         ``meta`` mapping reports the storm count consumed.
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_smith requires planar sites")
     values, n_storms, evals = _smith_values(
-        np.asarray(sites.coords), params, stream.generator(), eps_tail, cap
+        np.asarray(sites.coords), params, stream.generator(), cap
     )
     return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
 
@@ -448,20 +445,19 @@ def correlation_powered_exponential(h: float | np.ndarray, params: SchlatherPara
     return float(out) if out.ndim == 0 else out
 
 
-_envelope_warned: set[tuple[int, float]] = set()
+_envelope_warned: set[int] = set()
 
 
-def _warn_schlather_envelope(n_sites: int, b_max: float) -> None:
-    # One warning per (site count, envelope) keeps replicate loops readable.
-    p_exceed = float(n_sites) * float(ndtr(-b_max))
-    key = (n_sites, b_max)
-    level = logging.WARNING if key not in _envelope_warned else logging.DEBUG
-    _envelope_warned.add(key)
+def _warn_schlather_envelope(n_sites: int) -> None:
+    # One warning per site count keeps replicate loops readable.
+    p_exceed = float(n_sites) * float(ndtr(-SCHLATHER_B_MAX))
+    level = logging.WARNING if n_sites not in _envelope_warned else logging.DEBUG
+    _envelope_warned.add(n_sites)
     logger.log(
         level,
         "Schlather stopping envelope b_max=%.3g on %d sites: per-storm "
         "P(sup eps > b_max) <= %.3g; margins are approximate",
-        b_max,
+        SCHLATHER_B_MAX,
         n_sites,
         p_exceed,
     )
@@ -488,14 +484,12 @@ def simulate_schlather(
     params: SchlatherParams,
     stream: SeededStream,
     n_storms: int = 1000,
-    *,
-    b_max: float = 4.0,
 ) -> SpatialField:
     """Approximate Schlather-model sample on a planar site set.
 
     Spectral functions are ``sqrt(2*pi) * eps`` with ``eps`` a standard
     Gaussian process; they are unbounded, so the stopping rule uses the
-    envelope ``b_max`` and the storm count is capped by ``n_storms``.
+    envelope ``SCHLATHER_B_MAX`` and the storm count is capped by ``n_storms``.
     Duplicate sites are collapsed before the Cholesky factorization and
     receive identical values.
     """
@@ -512,17 +506,17 @@ def simulate_schlather(
             f"{SCHLATHER_MAX_SITES}; thin the site set or use the Smith model"
         )
     dist = np.linalg.norm(unique[:, None, :] - unique[None, :, :], axis=-1)
-    corr = np.exp(-((dist / params.c1) ** params.c2))
+    corr = correlation_powered_exponential(dist, params)
     np.fill_diagonal(corr, 1.0)
     chol = _cholesky_with_jitter(corr, unique)
-    _warn_schlather_envelope(k, b_max)
+    _warn_schlather_envelope(k)
 
     def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         eps = chol @ rng.standard_normal(size=(k, u.size))
         return _fold_dense(values, u, (SQRT_TWO_PI * np.clip(eps, 0.0, None)).T)
 
     values, used, stopped_early, u_last, evals = _storm_maxima(
-        stream.generator(), k, fold, 1.0, SQRT_TWO_PI * b_max, n_storms, max_block=8192
+        stream.generator(), k, fold, 1.0, SQRT_TWO_PI * SCHLATHER_B_MAX, n_storms, max_block=8192
     )
     # A site every storm missed (all eps <= 0 there) would stay at zero;
     # give it the largest value consistent with the stopping rule instead of
@@ -548,7 +542,7 @@ def _vmf_shape(dot: np.ndarray, kappa: float) -> np.ndarray:
     return kappa * np.exp(kappa * (dot - 1.0)) / (2.0 * math.pi * (-math.expm1(-2.0 * kappa)))
 
 
-def vmf_density(x: SphereSite | np.ndarray, mu: SphereSite | np.ndarray, params: VmfParams) -> float | np.ndarray:
+def vmf_density(x: np.ndarray, mu: np.ndarray, params: VmfParams) -> float | np.ndarray:
     """Von Mises-Fisher density on the unit sphere, vectorized over ``x``.
 
     Evaluated as ``kappa * exp(kappa * (mu'x - 1)) / (2*pi*(1 - e^{-2*kappa}))``
@@ -556,9 +550,8 @@ def vmf_density(x: SphereSite | np.ndarray, mu: SphereSite | np.ndarray, params:
     a series for ``kappa / sinh(kappa)`` and ``kappa = 0`` returns the
     uniform density ``1 / (4*pi)`` exactly.
     """
-    xv = x.as_array() if isinstance(x, SphereSite) else np.asarray(x, dtype=float)
-    mv = mu.as_array() if isinstance(mu, SphereSite) else np.asarray(mu, dtype=float)
-    out = np.asarray(_vmf_shape(np.asarray(xv @ mv), params.kappa))
+    dot = np.asarray(x, dtype=float) @ np.asarray(mu, dtype=float)
+    out = np.asarray(_vmf_shape(dot, params.kappa))
     return float(out) if out.ndim == 0 else out
 
 
@@ -605,60 +598,27 @@ def simulate_vmf_field(
     return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
 
 
-@dataclass(frozen=True)
-class BivariateExponent:
-    """Bivariate Smith exponent value and its partial derivatives.
-
-    ``V`` is the negative log joint CDF at unit Frechet scale; ``dV_dz1``
-    and ``dV_dz2`` are the (non-positive) first partials and
-    ``d2V_dz1dz2`` the (non-positive) mixed second partial.
-    """
-
-    V: float
-    dV_dz1: float
-    dV_dz2: float
-    d2V_dz1dz2: float
-
-
-def smith_exponent_bivariate(z1: float, z2: float, h: float) -> BivariateExponent:
+def smith_exponent_bivariate(z1: float, z2: float, h: float) -> float:
     """Closed-form bivariate Smith exponent at Mahalanobis distance ``h``.
 
-    For ``h`` below 1e-8 the complete-dependence limit
-    ``V = max(1/z1, 1/z2)`` is returned; its first partials use the
-    convention that ties (``z1 == z2``) attribute the derivative to the
-    first coordinate, and the mixed partial is zero.
+    ``V = Phi(w)/z1 + Phi(h - w)/z2`` with ``w = h/2 + log(z2/z1)/h``, the
+    negative log joint CDF at unit Frechet scale.  For ``h`` below 1e-8 the
+    complete-dependence limit ``V = max(1/z1, 1/z2)`` is returned.
     """
     if not (z1 > 0 and z2 > 0):
         raise ValidationError(f"z1, z2 must be positive, got {z1!r}, {z2!r}")
     if not (h >= 0 and math.isfinite(h)):
         raise ValidationError(f"h must be non-negative and finite, got {h!r}")
     if h < H_COMPLETE_DEP:
-        if z1 <= z2:
-            return BivariateExponent(1.0 / z1, -1.0 / z1 ** 2, 0.0, 0.0)
-        return BivariateExponent(1.0 / z2, 0.0, -1.0 / z2 ** 2, 0.0)
+        return 1.0 / z1 if z1 <= z2 else 1.0 / z2
     w = 0.5 * h + math.log(z2 / z1) / h
-    v = h - w
-    phi_w = math.exp(-0.5 * w * w) / SQRT_TWO_PI
-    cdf_w = float(ndtr(w))
-    cdf_v = float(ndtr(v))
-    # The identity phi(v)/z2 = phi(w)/z1 cancels the phi/h terms of the
-    # first partials exactly; the reduced form keeps them from cancelling
-    # in floating point at small h.
-    return BivariateExponent(
-        cdf_w / z1 + cdf_v / z2,
-        -cdf_w / z1 ** 2,
-        -cdf_v / z2 ** 2,
-        -phi_w / (h * z1 ** 2 * z2),
-    )
+    return float(ndtr(w)) / z1 + float(ndtr(h - w)) / z2
 
 
 def smith_exponent_numeric(
     sites: SiteSet,
     z: np.ndarray,
     params: SmithParams,
-    *,
-    epsabs: float = 1e-9,
-    epsrel: float = 1e-7,
 ) -> float:
     """M-variate Smith exponent by adaptive 2-d quadrature.
 
@@ -701,9 +661,9 @@ def smith_exponent_numeric(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", integrate.IntegrationWarning)
         value, abserr = integrate.dblquad(
-            integrand, x_lo, x_hi, y_lo, y_hi, epsabs=epsabs, epsrel=epsrel
+            integrand, x_lo, x_hi, y_lo, y_hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL
         )
-    tolerance = max(epsabs, abs(value) * epsrel)
+    tolerance = max(_QUAD_EPSABS, abs(value) * _QUAD_EPSREL)
     if abserr > 100.0 * tolerance:
         raise NumericalError(
             f"exponent quadrature did not converge: error estimate {abserr:.3g} "
@@ -726,5 +686,5 @@ def _smith_exponent(coords: np.ndarray, z: np.ndarray, params: SmithParams) -> f
     """
     if coords.shape[0] == 2:
         h = float(mahalanobis_distance(coords[1] - coords[0], params))
-        return smith_exponent_bivariate(float(z[0]), float(z[1]), h).V
+        return smith_exponent_bivariate(float(z[0]), float(z[1]), h)
     return smith_exponent_numeric(SiteSet.planar(coords), z, params)

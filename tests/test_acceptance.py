@@ -136,7 +136,7 @@ def test_04_closed_form_exponent_matches_quadrature():
         if h < 0.05:
             dx = np.array([1.0, 0.5])
             h = float(mahalanobis_distance(dx, params))
-        closed = smith_exponent_bivariate(z1, z2, h).V
+        closed = smith_exponent_bivariate(z1, z2, h)
         numeric = smith_exponent_numeric(
             SiteSet.planar(np.array([[0.0, 0.0], dx])), np.array([z1, z2]), params
         )

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxstorm import (
     RotationSpec,
     SiteSet,
-    SphereSite,
     ValidationError,
     fibonacci_sphere,
     rotation_matrix,
@@ -90,7 +89,3 @@ class TestSiteSets:
     def test_nonfinite_coordinates_rejected(self):
         with pytest.raises(ValidationError):
             SiteSet.planar(np.array([[0.0, np.nan]]))
-
-    def test_sphere_site_requires_unit_norm(self):
-        with pytest.raises(ValidationError):
-            SphereSite((1.0, 1.0, 0.0))

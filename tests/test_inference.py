@@ -502,20 +502,34 @@ class TestFits:
         assert report.theta_hat.smith == max(spatial_seen, key=lambda s: s[0])[1]
 
     def test_scan_table_is_the_two_shortest_lags(self):
-        data = _sim(782, n_dates=6, n_sites=5)
-        dates, coords = data.dates, data.sites.coords
-        scan_pairs = _short_lag_pairs(data, _prepare_st_pairs(data, None), None)
-        short = PairWeights.cutoff(dates, coords, 2.0)
+        sim = _sim(782, n_dates=6, n_sites=5)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            theta = ThetaVector(
-                rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
-                rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+        # Consecutive dates, and gapped dates (lags 1, 2, 3, ...) under a
+        # space cutoff; the second-smallest lag is 2 in both.
+        cases = [(np.arange(1, 7), None), (np.array([1, 2, 4, 7, 8, 12]), 3.0)]
+        for dates, max_space_dist in cases:
+            data = SpaceTimeField(sim.sites, dates, sim.values)
+            coords = data.sites.coords
+            fit_table = _prepare_st_pairs(
+                data, PairWeights.cutoff(dates, coords, None, max_space_dist)
             )
-            assert _eval_st_loglik(scan_pairs, theta) == pairwise_loglik(data, theta, short)
-        # A table of at most two lags is scanned as it is.
-        lag_one = _prepare_st_pairs(data, PairWeights.cutoff(dates, coords, 1.0))
-        assert _short_lag_pairs(data, lag_one, None) is lag_one
+            scan_pairs = _short_lag_pairs(fit_table)
+            short = PairWeights.cutoff(dates, coords, 2.0, max_space_dist)
+            # The masked table is the table built under the short cutoff,
+            # array for array.
+            direct = _prepare_st_pairs(data, short)
+            for name in direct.__dataclass_fields__:
+                got, want = getattr(scan_pairs, name), getattr(direct, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            for _ in range(5):
+                theta = ThetaVector(
+                    rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
+                    rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                )
+                assert _eval_st_loglik(scan_pairs, theta) == pairwise_loglik(data, theta, short)
+            # A table of at most two lags is scanned as it is.
+            lag_one = _prepare_st_pairs(data, PairWeights.cutoff(dates, coords, 1.0))
+            assert _short_lag_pairs(lag_one) is lag_one
 
     @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
     def test_scan_scores_short_lags_and_refinement_all_terms(self, monkeypatch, fit):

@@ -20,6 +20,7 @@ from maxstorm import (
     square_grid,
     truncated_moving_max,
 )
+from maxstorm.spacetime import _innovation
 
 
 class TestMarkovParams:
@@ -46,30 +47,28 @@ class TestPlanarRecursion:
         assert out.meta["n_storms_per_date"] == again.meta["n_storms_per_date"]
 
     def test_update_rule_holds_exactly(self, smith_identity, markov_standard):
-        # Each entry must equal max(a * previous-date shifted entry,
-        # (1-a) * fresh innovation), checkable on the enlarged-set state.
+        # Rebuild the recursion from innovation draws on the same child
+        # streams.  Entry lag * M + m is output site m shifted back lag
+        # steps; the first date is one draw on every entry, and date i takes
+        # max(a * previous state one block on, (1-a) * fresh draw) on the
+        # (N - i) * M entries later dates still read.  Output date i is the
+        # first block of its state.
         grid = square_grid(2)
-        m = 4
-        field, internals = simulate_markov_planar(
-            grid, 5, smith_identity, markov_standard, SeededStream(3), return_internals=True
-        )
-        a = internals.a
-        n_dates = field.values.shape[0]
+        m, n_dates = 4, 5
+        stream = SeededStream(3)
+        field = simulate_markov_planar(grid, n_dates, smith_identity, markov_standard, stream)
+        a, tau = markov_standard.a, markov_standard.tau_array()
+        entries = np.concatenate([grid.coords - j * tau for j in range(n_dates)])
+        state, storms, _ = _innovation(entries, smith_identity, stream.child(0), 1000)
+        counts = [storms]
+        np.testing.assert_array_equal(field.values[0], state[:m])
         for i in range(1, n_dates):
-            active = (n_dates - i) * m
-            prev = internals.state[i - 1][m : active + m]
-            innov = internals.innovations[i][:active]
-            expected = np.maximum(a * prev, (1 - a) * innov)
-            np.testing.assert_allclose(internals.state[i][:active], expected, rtol=1e-14)
-        np.testing.assert_array_equal(field.values[-1], internals.state[-1][:m])
-
-    def test_output_is_first_block_of_state(self, smith_identity, markov_standard):
-        grid = square_grid(2)
-        field, internals = simulate_markov_planar(
-            grid, 3, smith_identity, markov_standard, SeededStream(4), return_internals=True
-        )
-        for i in range(3):
-            np.testing.assert_array_equal(field.values[i], internals.state[i][:4])
+            active = entries[: (n_dates - i) * m]
+            z, storms, _ = _innovation(active, smith_identity, stream.child(i), 1000)
+            counts.append(storms)
+            state = np.maximum(a * state[m:], (1 - a) * z)
+            np.testing.assert_array_equal(field.values[i], state[:m])
+        assert field.meta["n_storms_per_date"] == tuple(counts)
 
     def test_rejects_sphere_sites_and_bad_dates(self, smith_identity, markov_standard):
         with pytest.raises(ValidationError):
