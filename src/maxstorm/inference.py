@@ -33,8 +33,9 @@ the starts of a coarse scan.  Scheme 2 runs one: the space-time objective
 over all three blocks from the same scan's starts.  The scan only ranks
 lattice points, so it scores the space-time objective on the terms of the
 fit's two shortest distinct time lags, the pairs that carry most of the
-information about ``tau``; the refinement and the reported log likelihood
-use every term.  One blockwise map takes each free block onto all of R^k
+information about ``tau``, and it scores all 244 of its points in one
+batched kernel call; the refinement and the reported log likelihood use
+every term.  One blockwise map takes each free block onto all of R^k
 (log-Cholesky for the covariance, logit for ``a``, identity for ``tau``); a
 held block is copied as it is, so scheme 1 keeps its covariance estimate bit
 for bit.  Each start is refined by scipy's Nelder-Mead, derivative-free and
@@ -46,7 +47,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
@@ -54,7 +55,7 @@ from scipy.special import ndtr
 
 from .errors import DegeneratePairError, NumericalError, ValidationError
 from .spacetime import MarkovParams, SpaceTimeField
-from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, mahalanobis_distance
+from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _quadratic_form, mahalanobis_distance
 
 __all__ = [
     "ThetaVector",
@@ -73,7 +74,7 @@ logger = logging.getLogger(__name__)
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = math.log(DENSITY_FLOOR)
 # Terms evaluated at once, every step writing into one work array per
-# evaluation.  Whole-array temporaries (289 KiB each at 36,100 terms) each
+# objective call.  Whole-array temporaries (289 KiB each at 36,100 terms) each
 # cost a fresh mapping whenever glibc's mmap threshold sits at its 128 KiB
 # default, as in a process that has not yet freed a large array: there the
 # 36,100-term objective took 3.5 ms, against 2.5 ms once the threshold had
@@ -96,13 +97,13 @@ class ThetaVector:
     tau2: float
 
     def __post_init__(self) -> None:
-        # Delegate range checks to the component records.
-        self.smith
+        # The component records check the ranges; the covariance one is kept.
+        object.__setattr__(self, "_smith", SmithParams(self.sigma11, self.sigma12, self.sigma22))
         self.markov
 
     @property
     def smith(self) -> SmithParams:
-        return SmithParams(self.sigma11, self.sigma12, self.sigma22)
+        return self._smith
 
     @property
     def markov(self) -> MarkovParams:
@@ -171,8 +172,8 @@ class FitReport:
     """Outcome of one pairwise-likelihood fit.
 
     ``iterations`` counts the objective evaluations of the simplex runs,
-    restarts included; the 244-evaluation start scan, which scores only the
-    terms of the two shortest time lags, is not in it.
+    restarts included; the start scan, one batched call scoring 244 points on
+    the terms of the two shortest time lags, is not in it.
     """
 
     theta_hat: ThetaVector
@@ -269,12 +270,13 @@ def _prepared_pairs(
 
 
 def _log_pair_density(
-    pairs: _PreparedPairs, h: np.ndarray, a: float
-) -> tuple[np.ndarray, int]:
-    """Log density of every pair term; returns (logf, n_floored).
+    pairs: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, list[int]]]:
+    """Log density of every pair term at ``k`` candidates sharing ``sigma``.
 
-    ``h`` is the Mahalanobis length of ``dx - lag*tau`` per table row and
-    ``a`` the coefficient (1 for same-date pairs).  With ``c = lag*log a``,
+    Candidate ``i`` is the coefficient ``a[i]`` (1 for same-date pairs) and
+    the translation ``tau[i]``; per table row, ``h`` is the Mahalanobis
+    length of ``dx - lag*tau``.  With ``c = lag*log a``,
     ``w = h/2 + (log(z2/z1) - c)/h``, ``v = h - w`` and
     ``s = a**lag Phi(v) + 1 - a**lag``, the density is
 
@@ -286,73 +288,117 @@ def _log_pair_density(
     small ``h``.  Each term costs one ``exp``, two ``ndtr`` and one
     ``log``; everything per row is computed once on the table and
     gathered.  Rows with ``h`` below ``H_COMPLETE_DEP`` lie on the moving
-    frame and take the complete-dependence branch; the floor applies last.
+    frame and take the complete-dependence branch; there, a same-date row
+    has coincident sites and no density.  The floor applies last.
+
+    Yields ``(c, logf, n_floored)`` per chunk of candidates ``c``: one row of
+    floored terms and one count per candidate, overwritten by the next chunk.
+    A chunk holds as many whole candidates as fit in ``_TERM_CHUNK`` terms, or
+    one candidate in ``_TERM_CHUNK``-term slices.  No bit depends on chunks.
     """
-    alag = a**pairs.lag
-    degenerate = h < H_COMPLETE_DEP
-    h = np.where(degenerate, 1.0, h)
-    inv_h = 1.0 / h
-    c_over_h = pairs.lag * math.log(a) * inv_h
-    per_row = np.array([inv_h, 0.5 * h - c_over_h, 0.5 * h + c_over_h, alag, 1.0 - alag])
-    n_terms = pairs.n_terms
-    logf = np.empty(n_terms)
-    work = np.empty((9, min(n_terms, _TERM_CHUNK)))
-    with np.errstate(divide="ignore"):
-        for start in range(0, n_terms, _TERM_CHUNK):
-            t = slice(start, start + _TERM_CHUNK)
-            out = logf[t]
-            chunk = work[:, : out.size]
-            # One gather ("clip" writes straight into the work rows; every row
-            # index is valid); w and v still lack their log(z2/z1)/h part.  The
-            # steps below keep the operand order of the whole-array formula.
-            per_row.take(pairs.row[t], 1, chunk[:5], "clip")
-            inv_h_t, w, v, alag_t, residual_t, cdf_w, s_over_z2, pdf_w_over_h, tmp = chunk
-            np.multiply(pairs.log_ratio[t], inv_h_t, tmp)
-            w += tmp
-            v -= tmp
-            ndtr(w, cdf_w)
-            ndtr(v, s_over_z2)
-            s_over_z2 *= alag_t
-            s_over_z2 += residual_t
-            s_over_z2 *= pairs.inv_z2[t]
-            np.multiply(w, -0.5, pdf_w_over_h)
-            pdf_w_over_h *= w
-            np.exp(pdf_w_over_h, pdf_w_over_h)
-            pdf_w_over_h *= inv_h_t
-            pdf_w_over_h /= SQRT_TWO_PI
-            np.multiply(cdf_w, s_over_z2, out)
-            out += pdf_w_over_h
-            np.log(out, out)
-            np.multiply(cdf_w, pairs.inv_z1[t], tmp)
-            tmp += s_over_z2
-            tmp -= pairs.log_jac[t]
-            out -= tmp
+    n_terms, n_rows, k = pairs.n_terms, pairs.lag.size, a.size
+    per = max(1, min(k, _TERM_CHUNK // n_terms))
+    width = min(per * n_terms, _TERM_CHUNK)
+    # Candidate i of a chunk reads rows i*n_rows onward of the stacked table.
+    row = (pairs.row + n_rows * np.arange(per)[:, None]).ravel() if per > 1 else pairs.row
+    terms = (pairs.log_ratio, pairs.inv_z1, pairs.inv_z2, pairs.log_jac)
+    log_ratio, inv_z1, inv_z2, log_jac = (np.tile(x, per) for x in terms) if per > 1 else terms
+    sigma_inv = sigma.sigma_inv
+    # math.log, not np.log: its bits are those of one scalar a.
+    log_a = np.array(list(map(math.log, a.tolist())))
+    buffer = np.empty(per * n_terms)
+    work = np.empty((9, width))
+    full_rows = tuple(work)
+    for c0 in range(0, k, per):
+        c = slice(c0, min(c0 + per, k))
+        # One candidate is indexed as a scalar, so its per-row arrays stay 1-d.
+        at = c0 if per == 1 else (c, None)
+        offsets = pairs.dx - pairs.lag[:, None] * tau[at]
+        h = np.sqrt(np.maximum(_quadratic_form(offsets, sigma_inv), 0.0))
+        alag = a[at] ** pairs.lag
+        degenerate = h < H_COMPLETE_DEP
+        h[degenerate] = 1.0
+        inv_h = 1.0 / h
+        c_over_h = pairs.lag * log_a[at] * inv_h
+        per_row = np.array([inv_h, 0.5 * h - c_over_h, 0.5 * h + c_over_h, alag, 1.0 - alag])
+        per_row = per_row.reshape(5, -1)
+        logf = buffer[: (c.stop - c0) * n_terms]
+        with np.errstate(divide="ignore"):
+            for start in range(0, logf.size, width):
+                t = slice(start, min(start + width, logf.size))
+                out = logf[t]
+                chunk = work[:, : out.size]
+                # One gather ("clip" writes straight into the work rows; every row
+                # index is valid); w and v still lack their log(z2/z1)/h part.
+                # The steps keep the operand order of the whole-array formula.
+                per_row.take(row[t], 1, chunk[:5], "clip")
+                rows9 = full_rows if out.size == width else tuple(chunk)
+                inv_h_t, w, v, alag_t, residual_t, cdf_w, s_over_z2, pdf_w_over_h, tmp = rows9
+                np.multiply(log_ratio[t], inv_h_t, tmp)
+                w += tmp
+                v -= tmp
+                ndtr(w, cdf_w)
+                ndtr(v, s_over_z2)
+                s_over_z2 *= alag_t
+                s_over_z2 += residual_t
+                s_over_z2 *= inv_z2[t]
+                np.multiply(w, -0.5, pdf_w_over_h)
+                pdf_w_over_h *= w
+                np.exp(pdf_w_over_h, pdf_w_over_h)
+                pdf_w_over_h *= inv_h_t
+                pdf_w_over_h /= SQRT_TWO_PI
+                np.multiply(cdf_w, s_over_z2, out)
+                out += pdf_w_over_h
+                np.log(out, out)
+                np.multiply(cdf_w, inv_z1[t], tmp)
+                tmp += s_over_z2
+                tmp -= log_jac[t]
+                out -= tmp
 
-    if degenerate.any():
-        # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W independent
-        # Frechet, so the absolutely continuous part is a product on
-        # z2 > a**l z1 and zero at or below the singular line.
-        idx = np.flatnonzero(degenerate[pairs.row])
-        rows = pairs.row[idx]
-        z1, z2 = pairs.z1[idx], pairs.z2[idx]
-        residual = per_row[4, rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_product = (
-                pairs.log_jac[idx]
-                - np.log(z2)
-                - pairs.inv_z1[idx]
-                + np.log(np.maximum(residual, 0.0))
-                - residual * pairs.inv_z2[idx]
-            )
-        logf[idx] = np.where(z2 > per_row[3, rows] * z1, log_product, -np.inf)
+        degenerate = degenerate.ravel()
+        if degenerate.any():
+            # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W
+            # independent Frechet, so the absolutely continuous part is a
+            # product on z2 > a**l z1 and zero at or below the singular line.
+            idx = np.flatnonzero(degenerate[row[: logf.size]])
+            rows, term = row[idx], idx % n_terms
+            if not pairs.lag[rows % n_rows].all():
+                bad = f"same-date pair {term[0]} has coincident sites under this covariance"
+                raise DegeneratePairError(f"{bad}; remove duplicated sites before fitting")
+            z1, z2 = pairs.z1[term], pairs.z2[term]
+            residual = per_row[4, rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_product = (
+                    pairs.log_jac[term]
+                    - np.log(z2)
+                    - pairs.inv_z1[term]
+                    + np.log(np.maximum(residual, 0.0))
+                    - residual * pairs.inv_z2[term]
+                )
+            logf[idx] = np.where(z2 > per_row[3, rows] * z1, log_product, -np.inf)
 
-    nan = np.isnan(logf)
-    if nan.any():
-        bad = int(np.argmax(nan))
-        raise NumericalError(f"log density is NaN at pair index {bad}")
-    n_floored = int(np.count_nonzero(logf < _LOG_FLOOR))
-    np.maximum(logf, _LOG_FLOOR, out=logf)
-    return logf, n_floored
+        logf = logf.reshape(-1, n_terms)
+        nan = np.isnan(logf)
+        if nan.any():
+            i, bad = np.argwhere(nan)[0]
+            raise NumericalError(f"log density is NaN at pair index {bad} of candidate {c0 + i}")
+        # A flat count_nonzero per candidate: an axis count casts every flag.
+        n_floored = [np.count_nonzero(low) for low in logf < _LOG_FLOOR]
+        np.maximum(logf, _LOG_FLOOR, out=logf)
+        yield c, logf, n_floored
+
+
+def _weighted_loglik(
+    pairs: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray, name: str
+) -> np.ndarray:
+    """Weighted sum of the floored terms at each candidate, one chunk at a time."""
+    values = np.empty(a.size)
+    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau):
+        for count in filter(None, n_floored):
+            logger.debug("%s floored %d of %d terms", name, count, pairs.n_terms)
+        logf *= pairs.weight
+        values[c] = np.add.reduce(logf, axis=1)
+    return values
 
 
 def bivariate_density(
@@ -377,8 +423,8 @@ def bivariate_density(
     if t1 > t2:
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1
-    tau = theta.markov.tau_array()
-    h1 = float(mahalanobis_distance(c2 - lag * tau - c1, theta.smith))
+    shifted = c2 - lag * theta.markov.tau_array() - c1
+    h1 = float(mahalanobis_distance(shifted, theta.smith))
     if lag == 0 and h1 < H_COMPLETE_DEP:
         raise DegeneratePairError(
             f"pair at date {t1} with sites {c1.tolist()} and {c2.tolist()} "
@@ -390,10 +436,11 @@ def bivariate_density(
         np.ones(1),
         np.zeros(1, dtype=np.intp),
         np.array([lag], dtype=float),
-        (c2 - c1)[None, :],
+        shifted[None, :],
     )
-    logf, _ = _log_pair_density(pairs, np.array([h1]), theta.a)
-    return float(np.exp(logf[0]))
+    # The offset is already shifted, so the kernel's h is h1 bit for bit.
+    (_, logf, _), = _log_pair_density(pairs, theta.smith, np.array([theta.a]), np.zeros((1, 2)))
+    return float(np.exp(logf[0, 0]))
 
 
 def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _PreparedPairs:
@@ -432,15 +479,16 @@ def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _Pre
     return _prepared_pairs(z1, z2, weight, key, np.repeat(lags, sk.size), dx)
 
 
-def _eval_st_loglik(prepared: _PreparedPairs, theta: ThetaVector) -> float:
-    h = mahalanobis_distance(
-        prepared.dx - prepared.lag[:, None] * theta.markov.tau_array(), theta.smith
-    )
-    logf, n_floored = _log_pair_density(prepared, h, theta.a)
-    if n_floored:
-        logger.debug("pairwise objective floored %d of %d terms", n_floored, logf.size)
-    logf *= prepared.weight
-    return float(np.sum(logf))
+def _eval_st_loglik(
+    prepared: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """Space-time objective at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``."""
+    return _weighted_loglik(prepared, sigma, a, tau, "pairwise objective")
+
+
+def _st_loglik_at(prepared: _PreparedPairs, theta: ThetaVector) -> float:
+    a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
+    return float(_eval_st_loglik(prepared, theta.smith, a, tau)[0])
 
 
 def pairwise_loglik(
@@ -456,7 +504,7 @@ def pairwise_loglik(
     contiguous array, whose pairwise reduction order depends only on the
     term count, so the value is the same bits on every run.
     """
-    return _eval_st_loglik(_prepare_st_pairs(data, weights), theta)
+    return _st_loglik_at(_prepare_st_pairs(data, weights), theta)
 
 
 def _prepare_spatial_pairs(
@@ -484,19 +532,8 @@ def _prepare_spatial_pairs(
 
 
 def _eval_spatial_loglik(prepared: _PreparedPairs, sigma: SmithParams) -> float:
-    h = mahalanobis_distance(prepared.dx, sigma)
-    coincident = h < H_COMPLETE_DEP
-    if np.any(coincident):
-        bad = int(np.argmax(coincident[prepared.row]))
-        raise DegeneratePairError(
-            f"same-date pair {bad} has coincident sites under this covariance; "
-            "remove duplicated sites before fitting"
-        )
-    logf, n_floored = _log_pair_density(prepared, h, 1.0)
-    if n_floored:
-        logger.debug("spatial objective floored %d of %d terms", n_floored, logf.size)
-    logf *= prepared.weight
-    return float(np.sum(logf))
+    values = _weighted_loglik(prepared, sigma, np.ones(1), np.zeros((1, 2)), "spatial objective")
+    return float(values[0])
 
 
 def spatial_pairwise_loglik(
@@ -656,8 +693,10 @@ def _temporal_start_candidates(
     so instead of trusting the single best cell the top few candidates from
     mutually distant basins are all returned for refinement; the ``(a, tau)``
     of ``theta`` always competes on the scored terms, so a good explicit
-    start is not discarded.  Each start is ``theta`` with its ``(a, tau)``
-    replaced.
+    start is not discarded.  All 244 points, the start's first, share the
+    covariance of ``theta`` and are scored by one :func:`_eval_st_loglik`
+    call; ties keep that order.  Each start is ``theta`` with its
+    ``(a, tau)`` replaced.
     """
     sigma = SmithParams(*theta[:3])
     chol = np.linalg.cholesky(np.asarray(sigma.sigma))
@@ -665,33 +704,20 @@ def _temporal_start_candidates(
     ticks = np.linspace(-_SCAN_RADIUS, _SCAN_RADIUS, _SCAN_MESH)
     uu, vv = np.meshgrid(ticks, ticks)
     lattice = np.column_stack([uu.ravel(), vv.ravel()]) @ chol.T
+    # The start's (a, tau), then every scan coefficient crossed with the
+    # lattice, all scored in one call.
+    a = np.concatenate([theta[3:4], np.repeat(_SCAN_A, len(lattice))])
+    tau = np.vstack([theta[4:6], np.tile(lattice, (len(_SCAN_A), 1))])
+    values = _eval_st_loglik(prepared, sigma, a, tau)
 
-    def value(a: float, t1: float, t2: float) -> float:
-        candidate = ThetaVector(
-            sigma.sigma11, sigma.sigma12, sigma.sigma22, a, t1, t2
-        )
-        return _eval_st_loglik(prepared, candidate)
-
-    init_point = (float(theta[3]), float(theta[4]), float(theta[5]))
-    scored = [(value(*init_point), init_point)]
-    for a in _SCAN_A:
-        for t1, t2 in lattice:
-            point = (a, float(t1), float(t2))
-            scored.append((value(*point), point))
-    scored.sort(key=lambda s: -s[0])
-
-    starts: list[tuple[float, float, float]] = []
-    for _, point in scored:
-        tau = np.array(point[1:])
-        if any(
-            np.linalg.norm(chol_inv @ (tau - np.array(kept[1:]))) < _BASIN_SEP
-            for kept in starts
-        ):
+    starts: list[int] = []
+    for i in np.argsort(-values, kind="stable"):
+        if any(np.linalg.norm(chol_inv @ (tau[i] - tau[j])) < _BASIN_SEP for j in starts):
             continue
-        starts.append(point)
+        starts.append(i)
         if len(starts) == _SCAN_STARTS:
             break
-    return [np.concatenate([theta[:3], point]) for point in starts]
+    return [np.concatenate([theta[:3], a[i : i + 1], tau[i]]) for i in starts]
 
 
 # An estimate of ``a`` this close to 0 or 1 sits at the ``_expit`` clamp,
@@ -725,7 +751,7 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
         return -_eval_spatial_loglik(spatial_pairs, theta.smith)
 
     def neg_st(theta: ThetaVector) -> float:
-        return -_eval_st_loglik(st_pairs, theta)
+        return -_st_loglik_at(st_pairs, theta)
 
     def scan(theta: np.ndarray) -> list[np.ndarray]:
         return _temporal_start_candidates(scan_pairs, theta)

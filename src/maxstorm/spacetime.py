@@ -19,6 +19,7 @@ telescope across consecutive dates.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -32,10 +33,11 @@ from .spatial import (
     SchlatherParams,
     SmithParams,
     VmfParams,
+    _log_schlather_envelope,
+    _schlather_values,
     _smith_exponent,
     _smith_values,
     _vmf_values,
-    simulate_schlather,
 )
 
 __all__ = [
@@ -147,9 +149,8 @@ def _innovation(
     if isinstance(spatial, SmithParams):
         return _smith_values(coords, spatial, stream.generator(), STORM_CAP)
     if isinstance(spatial, SchlatherParams):
-        field_ = simulate_schlather(SiteSet.planar(coords), spatial, stream, n_storms)
-        meta = field_.meta
-        return np.asarray(field_.values), int(meta["n_storms"]), int(meta["n_storm_evals"])
+        values, meta = _schlather_values(coords, spatial, stream, n_storms, logging.DEBUG)
+        return values, int(meta["n_storms"]), int(meta["n_storm_evals"])
     if isinstance(spatial, VmfParams):
         return _vmf_values(coords, spatial, stream.generator(), STORM_CAP)
     raise ValidationError(f"unsupported innovation parameters {type(spatial).__name__}")
@@ -182,6 +183,7 @@ def _simulate_markov(
                 f"dense-Cholesky cap {SCHLATHER_MAX_SITES}; reduce n_dates or "
                 "the grid, or switch to Smith innovations"
             )
+        _log_schlather_envelope(distinct, logging.WARNING)
 
     out = np.empty((n_dates, m))
     # Stationary start: the first date is one innovation draw on the full

@@ -448,11 +448,13 @@ def correlation_powered_exponential(h: float | np.ndarray, params: SchlatherPara
 _envelope_warned: set[int] = set()
 
 
-def _warn_schlather_envelope(n_sites: int) -> None:
-    # One warning per site count keeps replicate loops readable.
+def _log_schlather_envelope(n_sites: int, level: int | None) -> None:
+    # Direct draws (level None) warn once per site count, for readable replicate
+    # loops; a recursion warns once per call and logs each date at DEBUG.
     p_exceed = float(n_sites) * float(ndtr(-SCHLATHER_B_MAX))
-    level = logging.WARNING if n_sites not in _envelope_warned else logging.DEBUG
-    _envelope_warned.add(n_sites)
+    if level is None:
+        level = logging.WARNING if n_sites not in _envelope_warned else logging.DEBUG
+        _envelope_warned.add(n_sites)
     logger.log(
         level,
         "Schlather stopping envelope b_max=%.3g on %d sites: per-storm "
@@ -495,9 +497,16 @@ def simulate_schlather(
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_schlather requires planar sites")
+    values, meta = _schlather_values(np.asarray(sites.coords), params, stream, n_storms, None)
+    return SpatialField(sites, values, meta)
+
+
+def _schlather_values(
+    coords: np.ndarray, params: SchlatherParams, stream: SeededStream, n_storms: int, level: int | None
+) -> tuple[np.ndarray, dict]:
+    """:func:`simulate_schlather` on planar ``coords``; ``level`` as in :func:`_log_schlather_envelope`."""
     if n_storms < 1:
         raise ValidationError(f"n_storms must be >= 1, got {n_storms}")
-    coords = np.asarray(sites.coords)
     unique, inverse = np.unique(coords, axis=0, return_inverse=True)
     k = unique.shape[0]
     if k > SCHLATHER_MAX_SITES:
@@ -509,7 +518,7 @@ def simulate_schlather(
     corr = correlation_powered_exponential(dist, params)
     np.fill_diagonal(corr, 1.0)
     chol = _cholesky_with_jitter(corr, unique)
-    _warn_schlather_envelope(k)
+    _log_schlather_envelope(k, level)
 
     def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         eps = chol @ rng.standard_normal(size=(k, u.size))
@@ -524,7 +533,7 @@ def simulate_schlather(
     floor = u_last * 1e-12
     values = np.maximum(values, floor)
     meta = {"n_storms": used, "stopped_early": stopped_early, "n_storm_evals": evals}
-    return SpatialField(sites, values[inverse], meta)
+    return values[inverse], meta
 
 
 def _kappa_over_sinh(kappa: float) -> float:

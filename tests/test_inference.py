@@ -40,6 +40,7 @@ from maxstorm.inference import (
     _prepare_st_pairs,
     _prepared_pairs,
     _short_lag_pairs,
+    _temporal_start_candidates,
     _to_free,
 )
 
@@ -109,11 +110,15 @@ class TestBivariateDensity:
 
 
 def _kernel_log_density(z1, z2, lag, h, a):
-    """The objective's kernel on one table row per term."""
+    """The objective's kernel on one table row per term, at Sigma = I and tau = 0."""
     n = z1.size
-    pairs = _prepared_pairs(z1, z2, np.ones(n), np.arange(n), lag, np.zeros((n, 2)))
-    logf, _ = _log_pair_density(pairs, h, a)
-    return logf
+    # Under the identity the row offset (h, 0) has length sqrt(h*h), which is h.
+    assert np.array_equal(np.sqrt(h * h), h)
+    dx = np.column_stack([h, np.zeros(n)])
+    pairs = _prepared_pairs(z1, z2, np.ones(n), np.arange(n), lag, dx)
+    identity = SmithParams(1.0, 0.0, 1.0)
+    (_, logf, _), = _log_pair_density(pairs, identity, np.array([a]), np.zeros((1, 2)))
+    return logf[0]
 
 
 def _bracket_log_density(z1, z2, alag, h):
@@ -205,6 +210,54 @@ class TestPairDensityKernel:
         whole = _kernel_log_density(z1, z2, lag, h, a)
         monkeypatch.setattr(inference, "_TERM_CHUNK", 7)
         np.testing.assert_array_equal(_kernel_log_density(z1, z2, lag, h, a), whole)
+
+
+def _pointwise(evaluate):
+    """``evaluate`` as a loop of one-candidate calls."""
+
+    def pointwise(prepared, sigma, a, tau):
+        return np.array(
+            [evaluate(prepared, sigma, a[i : i + 1], tau[i : i + 1])[0] for i in range(a.size)]
+        )
+
+    return pointwise
+
+
+class TestCandidateStacks:
+    # 3 x 3 unit grid, 4 dates: 6 date pairs x 36 site pairs = 216 terms.
+    DATA = simulate_markov_planar(
+        square_grid(3), 4, THETA0.smith, THETA0.markov, SeededStream(17)
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunk=st.sampled_from([8192, 3 * 216 + 5, 2 * 216, 100, 7]),
+        k=st.integers(1, 12),
+        frame_at=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        identity=st.booleans(),
+    )
+    def test_stack_equals_single_calls_bit_for_bit(self, chunk, k, frame_at, seed, identity):
+        # Chunks of 37, 3 or 2 whole candidates (k need not be a multiple),
+        # or one candidate in 100- or 7-term slices.  Candidate frame_at puts
+        # the lag-1 rows with offset (1, 0) on the moving frame (h = 0 under
+        # every Sigma): its terms below the singular line are floored.
+        rng = np.random.default_rng(seed)
+        sigma = SmithParams(1.0, 0.0, 1.0) if identity else SmithParams(
+            rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0)
+        )
+        a = rng.uniform(0.01, 0.99, k)
+        tau = np.where(rng.random((k, 1)) < 0.5, rng.integers(-2, 3, (k, 2)), rng.uniform(-3, 3, (k, 2)))
+        frame_at = min(frame_at, k)
+        a, tau = np.insert(a, frame_at, 0.9), np.insert(tau, frame_at, [1.0, 0.0], axis=0)
+        pairs = _prepare_st_pairs(self.DATA, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_TERM_CHUNK", chunk)
+            stacked = _eval_st_loglik(pairs, sigma, a, tau)
+            single = _pointwise(_eval_st_loglik)(pairs, sigma, a, tau)
+            floored = np.concatenate([n for _, _, n in _log_pair_density(pairs, sigma, a, tau)])
+        assert np.array_equal(stacked, single)
+        assert floored[frame_at] > 0
 
 
 class TestPairwiseLoglik:
@@ -479,13 +532,13 @@ class TestFits:
     def test_scheme1_holds_covariance_estimate_in_second_stage(self, monkeypatch):
         # Every space-time evaluation, scan included, sees the covariance
         # exactly as the same-date stage found it: its best evaluated point.
-        seen, spatial_seen = [], []
+        rows, spatial_seen = [], []
         st_original = inference._eval_st_loglik
         spatial_original = inference._eval_spatial_loglik
 
-        def recording(prepared, theta):
-            seen.append(theta)
-            return st_original(prepared, theta)
+        def recording(prepared, sigma, a, tau):
+            rows.extend((sigma, a_i, tuple(tau_i)) for a_i, tau_i in zip(a, tau))
+            return st_original(prepared, sigma, a, tau)
 
         def spatial_recording(prepared, sigma):
             value = spatial_original(prepared, sigma)
@@ -497,8 +550,8 @@ class TestFits:
         data = _sim(780, n_dates=5, n_sites=5)
         init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
         report = fit_scheme1(data, init, FitOptions(max_evals=300))
-        assert len(seen) > 244
-        assert all(theta.smith == report.theta_hat.smith for theta in seen)
+        assert len(rows) > 244
+        assert all(sigma == report.theta_hat.smith for sigma, _, _ in rows)
         assert report.theta_hat.smith == max(spatial_seen, key=lambda s: s[0])[1]
 
     def test_scan_table_is_the_two_shortest_lags(self):
@@ -526,28 +579,56 @@ class TestFits:
                     rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
                     rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
                 )
-                assert _eval_st_loglik(scan_pairs, theta) == pairwise_loglik(data, theta, short)
+                a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
+                value = _eval_st_loglik(scan_pairs, theta.smith, a, tau)[0]
+                assert value == pairwise_loglik(data, theta, short)
             # A table of at most two lags is scanned as it is.
             lag_one = _prepare_st_pairs(data, PairWeights.cutoff(dates, coords, 1.0))
             assert _short_lag_pairs(lag_one) is lag_one
 
     @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
     def test_scan_scores_short_lags_and_refinement_all_terms(self, monkeypatch, fit):
-        seen = []
+        calls = []
         original = inference._eval_st_loglik
 
-        def recording(prepared, theta):
-            seen.append(prepared.n_terms)
-            return original(prepared, theta)
+        def recording(prepared, sigma, a, tau):
+            assert tau.shape == (a.size, 2)
+            calls.append((prepared.n_terms, a.size))
+            return original(prepared, sigma, a, tau)
 
         monkeypatch.setattr(inference, "_eval_st_loglik", recording)
         data = _sim(783, n_dates=6, n_sites=5)
         report = fit(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0), FitOptions(max_evals=100))
-        # 6 dates x 5 sites: lags 1 and 2 hold (5 + 4) date pairs x 10 site pairs.
-        assert seen.count(90) == 244
+        # 6 dates x 5 sites: lags 1 and 2 hold (5 + 4) date pairs x 10 site
+        # pairs.  The scan scores its 244 rows in one call.
+        assert calls.count((90, 244)) == 1
         assert report.n_pairs == 150
-        assert all(n == 150 for n in seen if n != 90)
-        assert len(seen) > 244
+        assert all(call == (150, 1) for call in calls if call != (90, 244))
+        assert sum(k for _, k in calls) > 244
+
+    def test_batched_scan_matches_pointwise_scan_on_moving_frame(self, monkeypatch):
+        # On the unit grid at Sigma = I, 8 of the 81 lattice translations put
+        # a lag-1 or lag-2 row exactly on the moving frame (h = 0), so 24 of
+        # the scan's 244 candidates take the complete-dependence branch.
+        data = simulate_markov_planar(
+            square_grid(4), 6, THETA0.smith, THETA0.markov, SeededStream(0)
+        )
+        init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        scan_pairs = _short_lag_pairs(_prepare_st_pairs(data, None))
+        ticks = np.linspace(-inference._SCAN_RADIUS, inference._SCAN_RADIUS, inference._SCAN_MESH)
+        on_frame = [
+            (t1, t2) for t1 in ticks for t2 in ticks
+            if np.any(np.all(scan_pairs.dx == scan_pairs.lag[:, None] * [t1, t2], axis=1))
+        ]
+        assert len(on_frame) == 8
+        opts = FitOptions(max_evals=300)
+        starts = _temporal_start_candidates(scan_pairs, init.as_array())
+        reports = [fit(data, init, opts) for fit in (fit_scheme1, fit_scheme2)]
+        monkeypatch.setattr(inference, "_eval_st_loglik", _pointwise(inference._eval_st_loglik))
+        pointwise = _temporal_start_candidates(scan_pairs, init.as_array())
+        assert len(pointwise) == len(starts)
+        assert all(np.array_equal(p, s) for p, s in zip(pointwise, starts))
+        assert [fit(data, init, opts) for fit in (fit_scheme1, fit_scheme2)] == reports
 
     @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
     def test_estimate_invariant_under_date_shift(self, fit):

@@ -1,5 +1,7 @@
 """Max-autoregression recursion, moving-max form, and joint distributions."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from maxstorm import (
     CapabilityError,
     MarkovParams,
     RotationSpec,
+    SchlatherParams,
     SeededStream,
     SiteSet,
     SmithParams,
@@ -90,6 +93,21 @@ class TestPlanarRecursion:
         theta = (1 + 2 * nu) / (1 - 2 * nu)
         assert abs(theta - (2.0 - 0.7)) < 0.05
 
+
+    def test_schlather_recursion_warns_once_per_call(self, markov_standard, caplog):
+        # Each date draws on fewer active entries, so a warning per site count
+        # would fire once a date.  The count must not depend on what ran
+        # before, so the call is made twice.
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="maxstorm.spatial"):
+                simulate_markov_planar(
+                    square_grid(3), 10, SchlatherParams(2.0, 1.0), markov_standard, SeededStream(5)
+                )
+            envelope = [r for r in caplog.records if "stopping envelope" in r.getMessage()]
+            warnings = [r for r in envelope if r.levelno == logging.WARNING]
+            assert len(warnings) == 1
+            assert [r.levelno for r in envelope].count(logging.DEBUG) == 10
 
     def test_storm_evaluations_are_local(self, smith_identity, markov_standard):
         # The study's first record at seed 1, lengthened to 30 dates: at date
