@@ -39,7 +39,12 @@ every term.  One blockwise map takes each free block onto all of R^k
 (log-Cholesky for the covariance, logit for ``a``, identity for ``tau``); a
 held block is copied as it is, so scheme 1 keeps its covariance estimate bit
 for bit.  Each start is refined by scipy's Nelder-Mead, derivative-free and
-bounded by an evaluation budget.
+bounded by an evaluation budget; a run that converges within its budget is
+polished by scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+1995) on the rest of it.  The polish uses the analytic gradient: the kernel
+differentiates each term in ``h`` and ``c = l log a``, the partials are
+summed per table row, and the chain rule through ``h`` and the blockwise
+maps carries them to the free coordinates.
 """
 
 from __future__ import annotations
@@ -80,8 +85,7 @@ _LOG_FLOOR = math.log(DENSITY_FLOOR)
 # 36,100-term objective took 3.5 ms, against 2.5 ms once the threshold had
 # risen; chunked, it takes about 2.5 ms either way.
 _TERM_CHUNK = 8192
-# Edge of the first simplex in transformed space, per unit of max(1, |u_d|);
-# the restart uses a tenth of it.
+# Edge of the first simplex in transformed space, per unit of max(1, |u_d|).
 _SIMPLEX_STEP = 0.25
 
 
@@ -171,9 +175,10 @@ class PairWeights:
 class FitReport:
     """Outcome of one pairwise-likelihood fit.
 
-    ``iterations`` counts the objective evaluations of the simplex runs,
-    restarts included; the start scan, one batched call scoring 244 points on
-    the terms of the two shortest time lags, is not in it.
+    ``iterations`` counts the objective evaluations of every optimizer run:
+    the simplex's, and the polish's value-and-gradient calls, one each.  The
+    start scan, one batched call scoring 244 points on the terms of the two
+    shortest time lags, is not in it.
     """
 
     theta_hat: ThetaVector
@@ -188,11 +193,12 @@ class FitReport:
 class FitOptions:
     """Optimizer and weighting knobs shared by both schemes.
 
-    ``xtol`` and ``ftol`` act in the transformed parameter space: a run
-    converges when the largest coordinate spread of the simplex about its
-    best vertex is within ``xtol`` and its function spread within ``ftol``.
-    ``max_evals`` is a hard cap on the objective evaluations of each
-    optimizer run, its single restart included.  The cutoff radii are how a
+    ``xtol`` and ``ftol`` govern the simplex run, in the transformed
+    parameter space: it converges when the largest coordinate spread of the
+    simplex about its best vertex is within ``xtol`` and its function spread
+    within ``ftol``.  The gradient polish that follows stops by L-BFGS-B's
+    default rule.  ``max_evals`` is a hard cap on the objective evaluations
+    of each optimizer run, its polish included.  The cutoff radii are how a
     fit is weighted: pairs more than ``max_time_lag`` apart in time or
     ``max_space_dist`` apart in space are dropped from both objectives.
     :class:`PairWeights` serves :func:`pairwise_loglik` and
@@ -270,7 +276,11 @@ def _prepared_pairs(
 
 
 def _log_pair_density(
-    pairs: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray
+    pairs: _PreparedPairs,
+    sigma: SmithParams,
+    a: np.ndarray,
+    tau: np.ndarray,
+    partials: np.ndarray | None = None,
 ) -> Iterator[tuple[slice, np.ndarray, list[int]]]:
     """Log density of every pair term at ``k`` candidates sharing ``sigma``.
 
@@ -295,8 +305,22 @@ def _log_pair_density(
     floored terms and one count per candidate, overwritten by the next chunk.
     A chunk holds as many whole candidates as fit in ``_TERM_CHUNK`` terms, or
     one candidate in ``_TERM_CHUNK``-term slices.  No bit depends on chunks.
+
+    For a single candidate, a ``(2, n_terms)`` array ``partials`` receives
+    each term's ``d log f/dh`` and ``d log f/dc``; ``logf`` is computed as
+    without it.  With ``p = phi(w)/h``, ``Q = Phi(w) s/z2 + p``, ``r = w/h``
+    and ``e = Phi(w)/z1 - s/z2``, the same identity leaves
+
+    ``d/dh = (p h) ((s/z2 + r e - r (1 - r) - 1/h**2)/Q - 1/z1)``,
+    ``d/dc = (1/z2 - s/z2) (1 - Phi(w)/Q) + p (e + r)/Q``,
+
+    where ``1/z2 - s/z2 = a**lag (1 - Phi(v))/z2``.  A moving-frame term has
+    ``d/dh = 0`` and ``d/dc = -a**lag/(1 - a**lag) + a**lag/z2``, and a
+    floored term has both partials 0.
     """
     n_terms, n_rows, k = pairs.n_terms, pairs.lag.size, a.size
+    if partials is not None and k != 1:
+        raise ValueError("term partials are computed for a single candidate")
     per = max(1, min(k, _TERM_CHUNK // n_terms))
     width = min(per * n_terms, _TERM_CHUNK)
     # Candidate i of a chunk reads rows i*n_rows onward of the stacked table.
@@ -323,7 +347,7 @@ def _log_pair_density(
         per_row = np.array([inv_h, 0.5 * h - c_over_h, 0.5 * h + c_over_h, alag, 1.0 - alag])
         per_row = per_row.reshape(5, -1)
         logf = buffer[: (c.stop - c0) * n_terms]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, logf.size, width):
                 t = slice(start, min(start + width, logf.size))
                 out = logf[t]
@@ -354,6 +378,36 @@ def _log_pair_density(
                 tmp += s_over_z2
                 tmp -= log_jac[t]
                 out -= tmp
+                if partials is None:
+                    continue
+                # Rows v, a**lag and 1 - a**lag are spent; they hold 1/Q, r and e.
+                d_h, d_c = partials[:, t]
+                inv_q, r, e = v, alag_t, residual_t
+                np.multiply(cdf_w, s_over_z2, inv_q)
+                inv_q += pdf_w_over_h
+                np.reciprocal(inv_q, inv_q)
+                np.multiply(w, inv_h_t, r)
+                np.multiply(cdf_w, inv_z1[t], e)
+                e -= s_over_z2
+                np.add(e, r, d_c)
+                d_c *= pdf_w_over_h
+                d_c *= inv_q
+                np.multiply(cdf_w, inv_q, tmp)
+                np.subtract(1.0, tmp, tmp)
+                np.subtract(inv_z2[t], s_over_z2, d_h)
+                d_h *= tmp
+                d_c += d_h
+                np.subtract(1.0, r, tmp)
+                tmp *= r
+                np.multiply(r, e, d_h)
+                d_h += s_over_z2
+                d_h -= tmp
+                np.multiply(inv_h_t, inv_h_t, tmp)
+                d_h -= tmp
+                d_h *= inv_q
+                d_h -= inv_z1[t]
+                d_h *= pdf_w_over_h
+                d_h /= inv_h_t
 
         degenerate = degenerate.ravel()
         if degenerate.any():
@@ -376,29 +430,82 @@ def _log_pair_density(
                     - residual * pairs.inv_z2[term]
                 )
             logf[idx] = np.where(z2 > per_row[3, rows] * z1, log_product, -np.inf)
+            if partials is not None:
+                alag = per_row[3, rows]
+                partials[0, idx] = 0.0
+                partials[1, idx] = alag * pairs.inv_z2[term] - alag / residual
 
         logf = logf.reshape(-1, n_terms)
         nan = np.isnan(logf)
         if nan.any():
             i, bad = np.argwhere(nan)[0]
             raise NumericalError(f"log density is NaN at pair index {bad} of candidate {c0 + i}")
+        low = logf < _LOG_FLOOR
         # A flat count_nonzero per candidate: an axis count casts every flag.
-        n_floored = [np.count_nonzero(low) for low in logf < _LOG_FLOOR]
+        n_floored = [np.count_nonzero(row_low) for row_low in low]
+        if partials is not None:
+            partials[:, low[0]] = 0.0
         np.maximum(logf, _LOG_FLOOR, out=logf)
         yield c, logf, n_floored
 
 
 def _weighted_loglik(
-    pairs: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray, name: str
-) -> np.ndarray:
-    """Weighted sum of the floored terms at each candidate, one chunk at a time."""
+    pairs: _PreparedPairs,
+    sigma: SmithParams,
+    a: np.ndarray,
+    tau: np.ndarray,
+    name: str,
+    gradient: bool = False,
+) -> np.ndarray | tuple[float, np.ndarray]:
+    """Weighted sum of the floored terms at each candidate, one chunk at a time.
+
+    With ``gradient``, for a single candidate, the value and its gradient in
+    ``theta``: the weighted term partials are summed onto table rows and
+    chained by :func:`_theta_gradient`.  The value is the same bits as
+    without it.
+    """
     values = np.empty(a.size)
-    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau):
+    partials = np.empty((2, pairs.n_terms)) if gradient else None
+    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau, partials):
         for count in filter(None, n_floored):
             logger.debug("%s floored %d of %d terms", name, count, pairs.n_terms)
         logf *= pairs.weight
         values[c] = np.add.reduce(logf, axis=1)
-    return values
+    if not gradient:
+        return values
+    partials *= pairs.weight
+    d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
+    return float(values[0]), _theta_gradient(pairs, sigma, float(a[0]), tau[0], d_h, d_c)
+
+
+def _theta_gradient(
+    pairs: _PreparedPairs,
+    sigma: SmithParams,
+    a: float,
+    tau: np.ndarray,
+    d_h: np.ndarray,
+    d_c: np.ndarray,
+) -> np.ndarray:
+    """Chain per-row partials in ``h`` and ``c = lag*log a`` to ``theta``.
+
+    ``theta = (sigma11, sigma12, sigma22, a, tau1, tau2)``.  With
+    ``o = dx - lag*tau`` and ``b = Sigma^{-1} o`` per row, ``h = sqrt(o'b)``
+    gives ``dh/dtau = -lag b/h`` and
+    ``dh/d(sigma11, sigma12, sigma22) = -(b1**2, 2 b1 b2, b2**2)/(2h)``;
+    ``dc/da = lag/a``.  A moving-frame row has no ``h`` partial.
+    """
+    offsets = pairs.dx - pairs.lag[:, None] * tau
+    b = offsets @ sigma.sigma_inv
+    h = np.sqrt(np.maximum(_quadratic_form(offsets, sigma.sigma_inv), 0.0))
+    g = np.divide(d_h, h, out=np.zeros_like(h), where=h >= H_COMPLETE_DEP)
+    gb = g[:, None] * b
+    return np.array([
+        -0.5 * (gb[:, 0] @ b[:, 0]),
+        -(gb[:, 0] @ b[:, 1]),
+        -0.5 * (gb[:, 1] @ b[:, 1]),
+        (d_c @ pairs.lag) / a,
+        *-(pairs.lag @ gb),
+    ])
 
 
 def bivariate_density(
@@ -480,15 +587,25 @@ def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _Pre
 
 
 def _eval_st_loglik(
-    prepared: _PreparedPairs, sigma: SmithParams, a: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """Space-time objective at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``."""
-    return _weighted_loglik(prepared, sigma, a, tau, "pairwise objective")
+    prepared: _PreparedPairs,
+    sigma: SmithParams,
+    a: np.ndarray,
+    tau: np.ndarray,
+    gradient: bool = False,
+) -> np.ndarray | tuple[float, np.ndarray]:
+    """Space-time objective at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``.
+
+    With ``gradient`` (``k = 1``), its value and its gradient in ``theta``.
+    """
+    return _weighted_loglik(prepared, sigma, a, tau, "pairwise objective", gradient)
 
 
-def _st_loglik_at(prepared: _PreparedPairs, theta: ThetaVector) -> float:
+def _st_loglik_at(
+    prepared: _PreparedPairs, theta: ThetaVector, gradient: bool = False
+) -> float | tuple[float, np.ndarray]:
     a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
-    return float(_eval_st_loglik(prepared, theta.smith, a, tau)[0])
+    out = _eval_st_loglik(prepared, theta.smith, a, tau, gradient=gradient)
+    return out if gradient else float(out[0])
 
 
 def pairwise_loglik(
@@ -531,9 +648,17 @@ def _prepare_spatial_pairs(
     )
 
 
-def _eval_spatial_loglik(prepared: _PreparedPairs, sigma: SmithParams) -> float:
-    values = _weighted_loglik(prepared, sigma, np.ones(1), np.zeros((1, 2)), "spatial objective")
-    return float(values[0])
+def _eval_spatial_loglik(
+    prepared: _PreparedPairs, sigma: SmithParams, gradient: bool = False
+) -> float | tuple[float, np.ndarray]:
+    """Same-date objective under ``sigma``; with ``gradient``, also its gradient in ``theta``.
+
+    Only the covariance entries of that gradient can be nonzero.
+    """
+    out = _weighted_loglik(
+        prepared, sigma, np.ones(1), np.zeros((1, 2)), "spatial objective", gradient
+    )
+    return out if gradient else float(out[0])
 
 
 def spatial_pairwise_loglik(
@@ -567,8 +692,24 @@ def _chol_to_sigma(u: np.ndarray) -> np.ndarray:
     return np.array([l11 * l11, l11 * l21, l21 * l21 + l22 * l22])
 
 
+def _chol_pullback(u: np.ndarray, g: np.ndarray) -> list[float]:
+    """Gradient in ``u`` of a function whose gradient in the covariance is ``g``."""
+    l11 = math.exp(u[0])
+    l22 = math.exp(u[1])
+    l21 = u[2]
+    return [
+        2.0 * l11 * l11 * g[0] + l11 * l21 * g[1],
+        2.0 * l22 * l22 * g[2],
+        l11 * g[1] + 2.0 * l21 * g[2],
+    ]
+
+
 def _logit(a: float) -> float:
     return math.log(a / (1.0 - a))
+
+
+# Saturated floats would escape the open interval and fail validation.
+_A_CLAMP = 1e-12
 
 
 def _expit(u: float) -> float:
@@ -577,20 +718,31 @@ def _expit(u: float) -> float:
     else:
         e = math.exp(u)
         out = e / (1.0 + e)
-    # Saturated floats would escape the open interval and fail validation.
-    return min(max(out, 1e-12), 1.0 - 1e-12)
+    return min(max(out, _A_CLAMP), 1.0 - _A_CLAMP)
+
+
+def _expit_slope(u: float) -> float:
+    """``d expit/du``, which is 0 on the clamp."""
+    a = _expit(u)
+    return a * (1.0 - a) if _A_CLAMP < a < 1.0 - _A_CLAMP else 0.0
 
 
 # The blocks of theta = (sigma11, sigma12, sigma22, a, tau1, tau2), each with
-# its map onto all of R^k and back: log-Cholesky, logit, identity.
-_SIGMA = (slice(0, 3), _sigma_to_chol, _chol_to_sigma)
-_A = (slice(3, 4), lambda x: [_logit(float(x[0]))], lambda u: _expit(float(u[0])))
-_TAU = (slice(4, 6), lambda x: x, lambda u: u)
+# its map onto all of R^k, the map back, and the pullback of a gradient in
+# theta to one in R^k: log-Cholesky, logit, identity.
+_SIGMA = (slice(0, 3), _sigma_to_chol, _chol_to_sigma, _chol_pullback)
+_A = (
+    slice(3, 4),
+    lambda x: [_logit(float(x[0]))],
+    lambda u: _expit(float(u[0])),
+    lambda u, g: [_expit_slope(float(u[0])) * g[0]],
+)
+_TAU = (slice(4, 6), lambda x: x, lambda u: u, lambda u, g: g)
 
 
 def _to_free(theta: np.ndarray, free: tuple) -> np.ndarray:
     """Unconstrained coordinates of the ``free`` blocks of ``theta``, in order."""
-    return np.concatenate([np.asarray(fwd(theta[block]), dtype=float) for block, fwd, _ in free])
+    return np.concatenate([np.asarray(fwd(theta[block]), dtype=float) for block, fwd, *_ in free])
 
 
 def _from_free(u: np.ndarray, base: np.ndarray, free: tuple) -> np.ndarray:
@@ -601,24 +753,46 @@ def _from_free(u: np.ndarray, base: np.ndarray, free: tuple) -> np.ndarray:
     """
     theta = base.copy()
     start = 0
-    for block, _, inverse in free:
+    for block, _, inverse, _ in free:
         stop = start + block.stop - block.start
         theta[block] = inverse(u[start:stop])
         start = stop
     return theta
 
 
+def _free_gradient(u: np.ndarray, grad: np.ndarray, free: tuple) -> np.ndarray:
+    """Gradient in the free coordinates ``u`` from ``grad``, the gradient in theta."""
+    out = []
+    start = 0
+    for block, _, _, pullback in free:
+        stop = start + block.stop - block.start
+        out.append(np.asarray(pullback(u[start:stop], grad[block]), dtype=float))
+        start = stop
+    return np.concatenate(out)
+
+
+class _PolishStop(Exception):
+    """The polish reached its run's budget, or a point it cannot evaluate."""
+
+
 def _nelder_mead(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[..., float | tuple[float, np.ndarray]],
     init: np.ndarray,
     opts: FitOptions,
 ) -> OptimizeResult:
-    """Minimize ``objective`` over all of R^n by scipy's Nelder-Mead.
+    """Minimize ``objective`` over all of R^n: a simplex run, then a polish.
 
-    After the first run the simplex is rebuilt once around the best vertex,
-    ten times smaller, which guards against premature collapse; ``success``
-    is the last run's.  Every objective call counts against
-    ``opts.max_evals``, and a NaN objective is read as +inf.
+    ``objective(u)`` is the value and ``objective(u, gradient=True)`` the
+    value and its gradient.  scipy's Nelder-Mead explores from ``init`` until
+    its simplex meets ``opts.xtol`` and ``opts.ftol`` or the budget is spent.
+    A run that stops before its budget is polished by scipy's L-BFGS-B with
+    the gradient, from the simplex's best vertex, on the rest of the budget;
+    the polish stops by L-BFGS-B's default rule.  The better point is kept,
+    and ``success`` is the polish's.  A run that spends its budget in the
+    simplex is not polished.  Every call, value or value and gradient, counts
+    once against ``opts.max_evals``, and a NaN value is read as +inf.  A
+    polish step the objective rejects (a covariance that rounds to singular,
+    a non-finite density) ends the polish without success.
     """
     evals = 0
 
@@ -632,20 +806,42 @@ def _nelder_mead(
     fun = g(u)
     if math.isinf(fun):
         raise ValidationError("objective is not finite at the initial point")
-    success = False
-    for step in (_SIMPLEX_STEP, 0.1 * _SIMPLEX_STEP):
-        if evals >= opts.max_evals:
-            break
-        simplex = np.vstack([u, u + np.diag(step * np.maximum(1.0, np.abs(u)))])
-        run = minimize(g, u, method="Nelder-Mead", options={
-            "initial_simplex": simplex,
-            "xatol": opts.xtol,
-            "fatol": opts.ftol,
-            "maxfev": opts.max_evals - evals,
-        })
-        success = bool(run.success)
-        if run.fun <= fun:
-            u, fun = run.x, float(run.fun)
+    simplex = np.vstack([u, u + np.diag(_SIMPLEX_STEP * np.maximum(1.0, np.abs(u)))])
+    run = minimize(g, u, method="Nelder-Mead", options={
+        "initial_simplex": simplex,
+        "xatol": opts.xtol,
+        "fatol": opts.ftol,
+        "maxfev": opts.max_evals - evals,
+    })
+    success = bool(run.success)
+    if run.fun <= fun:
+        u, fun = run.x, float(run.fun)
+    if evals < opts.max_evals:
+        best = [fun, u]
+
+        def polish(x: np.ndarray) -> tuple[float, np.ndarray]:
+            nonlocal evals
+            # L-BFGS-B checks maxfun only between iterations.
+            if evals >= opts.max_evals:
+                raise _PolishStop
+            evals += 1
+            try:
+                value, grad = objective(x, gradient=True)
+            except (ValidationError, NumericalError) as exc:
+                raise _PolishStop from exc
+            value = float(value)
+            value = math.inf if math.isnan(value) else value
+            if value < best[0]:
+                best[:] = value, x.copy()
+            return value, grad
+
+        try:
+            success = bool(minimize(polish, u, method="L-BFGS-B", jac=True, options={
+                "maxfun": opts.max_evals - evals,
+            }).success)
+        except _PolishStop:
+            success = False
+        fun, u = best
     return OptimizeResult(x=u, fun=fun, nfev=evals, success=success)
 
 
@@ -720,6 +916,27 @@ def _temporal_start_candidates(
     return [np.concatenate([theta[:3], a[i : i + 1], tau[i]]) for i in starts]
 
 
+def _stage_objective(
+    loglik: Callable[..., float | tuple[float, np.ndarray]], base: np.ndarray, free: tuple
+) -> Callable[..., float | tuple[float, np.ndarray]]:
+    """Minus ``loglik`` over the free coordinates of the ``free`` blocks.
+
+    The held blocks keep their values in ``base``.  ``loglik(theta)`` is a
+    value and ``loglik(theta, gradient=True)`` a value and its gradient in
+    theta; the objective takes ``gradient`` the same way, with the gradient
+    pulled back to the free coordinates.
+    """
+
+    def objective(u: np.ndarray, gradient: bool = False):
+        theta = ThetaVector.from_array(_from_free(u, base, free))
+        if not gradient:
+            return -loglik(theta)
+        value, grad = loglik(theta, gradient=True)
+        return -value, -_free_gradient(u, grad, free)
+
+    return objective
+
+
 # An estimate of ``a`` this close to 0 or 1 sits at the ``_expit`` clamp,
 # not at an interior maximum, so the fit does not report convergence.
 _A_BOUNDARY_TOL = 1e-9
@@ -732,13 +949,13 @@ def _a_is_interior(a: float) -> bool:
 def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int) -> FitReport:
     """Run the stages of ``scheme`` from ``init`` on pair tables built once.
 
-    A stage is an objective of theta, the blocks it frees and a rule giving
-    its starts from the current theta.  Each start is refined by
-    :func:`_nelder_mead` over the free blocks' unconstrained coordinates, the
-    best run's theta passes to the next stage, and the last stage's value is
-    the reported log likelihood.  ``iterations`` sums every run of every
-    stage; ``converged`` needs every stage's best run to have converged and
-    ``a`` to lie off its clamp.
+    A stage is a log likelihood of theta, the blocks it frees and a rule
+    giving its starts from the current theta.  Each start is refined by
+    :func:`_nelder_mead` over the free blocks' unconstrained coordinates, a
+    simplex run and its gradient polish; the best run's theta passes to the
+    next stage, and the last stage's value is the reported log likelihood.
+    ``iterations`` sums every run of every stage; ``converged`` needs every
+    stage's best run to have converged and ``a`` to lie off its clamp.
     """
     weights = PairWeights.cutoff(
         data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
@@ -747,33 +964,29 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     st_pairs = _prepare_st_pairs(data, weights)
     scan_pairs = _short_lag_pairs(st_pairs)
 
-    def neg_spatial(theta: ThetaVector) -> float:
-        return -_eval_spatial_loglik(spatial_pairs, theta.smith)
+    def spatial(theta: ThetaVector, gradient: bool = False):
+        return _eval_spatial_loglik(spatial_pairs, theta.smith, gradient=gradient)
 
-    def neg_st(theta: ThetaVector) -> float:
-        return -_st_loglik_at(st_pairs, theta)
+    def space_time(theta: ThetaVector, gradient: bool = False):
+        return _st_loglik_at(st_pairs, theta, gradient)
 
     def scan(theta: np.ndarray) -> list[np.ndarray]:
         return _temporal_start_candidates(scan_pairs, theta)
 
     if scheme == 1:
         stages = [
-            (neg_spatial, (_SIGMA,), lambda theta: [theta]),
-            (neg_st, (_A, _TAU), scan),
+            (spatial, (_SIGMA,), lambda theta: [theta]),
+            (space_time, (_A, _TAU), scan),
         ]
     else:
-        stages = [(neg_st, (_SIGMA, _A, _TAU), scan)]
+        stages = [(space_time, (_SIGMA, _A, _TAU), scan)]
 
     theta = init.as_array()
     iterations, converged = 0, True
-    for objective, free, starts in stages:
+    for loglik, free, starts in stages:
         runs = []
         for start in starts(theta):
-            run = _nelder_mead(
-                lambda u: objective(ThetaVector.from_array(_from_free(u, start, free))),
-                _to_free(start, free),
-                opts,
-            )
+            run = _nelder_mead(_stage_objective(loglik, start, free), _to_free(start, free), opts)
             run.x = _from_free(run.x, start, free)
             runs.append(run)
         best = min(runs, key=lambda r: r.fun)

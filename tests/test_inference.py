@@ -33,13 +33,18 @@ from maxstorm.inference import (
     _A,
     _SIGMA,
     _TAU,
+    _eval_spatial_loglik,
     _eval_st_loglik,
+    _free_gradient,
     _from_free,
     _log_pair_density,
     _nelder_mead,
+    _prepare_spatial_pairs,
     _prepare_st_pairs,
     _prepared_pairs,
     _short_lag_pairs,
+    _st_loglik_at,
+    _stage_objective,
     _temporal_start_candidates,
     _to_free,
 )
@@ -213,9 +218,14 @@ class TestPairDensityKernel:
 
 
 def _pointwise(evaluate):
-    """``evaluate`` as a loop of one-candidate calls."""
+    """``evaluate`` as a loop of one-candidate calls.
 
-    def pointwise(prepared, sigma, a, tau):
+    A gradient call has one candidate and is passed on as it is.
+    """
+
+    def pointwise(prepared, sigma, a, tau, gradient=False):
+        if gradient:
+            return evaluate(prepared, sigma, a, tau, gradient=True)
         return np.array(
             [evaluate(prepared, sigma, a[i : i + 1], tau[i : i + 1])[0] for i in range(a.size)]
         )
@@ -258,6 +268,166 @@ class TestCandidateStacks:
             floored = np.concatenate([n for _, _, n in _log_pair_density(pairs, sigma, a, tau)])
         assert np.array_equal(stacked, single)
         assert floored[frame_at] > 0
+
+
+def _random_theta(u):
+    """A valid theta from six numbers in [0, 1]."""
+    s11, s22 = 0.5 + 1.5 * u[0], 0.5 + 1.5 * u[1]
+    s12 = (u[2] - 0.5) * math.sqrt(s11 * s22)
+    return np.array([s11, s12, s22, 0.1 + 0.85 * u[3], 4.0 * u[4] - 2.0, 4.0 * u[5] - 2.0])
+
+
+def _objectives(data, weights=None):
+    """Each stage's log likelihood of theta: the same-date one and the space-time one."""
+    spatial_pairs = _prepare_spatial_pairs(data, weights)
+    st_pairs = _prepare_st_pairs(data, weights)
+
+    def spatial(theta, gradient=False):
+        return _eval_spatial_loglik(spatial_pairs, theta.smith, gradient=gradient)
+
+    def space_time(theta, gradient=False):
+        return _st_loglik_at(st_pairs, theta, gradient)
+
+    return spatial, space_time
+
+
+def _central_difference(f, u, step=1e-4):
+    """Fourth-order central differences of ``f`` at ``u``."""
+    grad = np.empty(u.size)
+    for i in range(u.size):
+        e = np.zeros(u.size)
+        e[i] = step * max(1.0, abs(u[i]))
+        near = f(u + e) - f(u - e)
+        far = f(u + 2.0 * e) - f(u - 2.0 * e)
+        grad[i] = (8.0 * near - far) / (12.0 * e[i])
+    return grad
+
+
+def _assert_gradient_matches(objective, u, rel=1e-6):
+    value, grad = objective(u, gradient=True)
+    assert value == objective(u)
+    want = _central_difference(objective, u)
+    assert np.all(np.isfinite(grad))
+    assert np.max(np.abs(grad - want)) <= rel * np.max(np.abs(want))
+
+
+# The stages of both schemes: objective, free blocks.
+_STAGES = {
+    "scheme-1 covariance": (0, (_SIGMA,)),
+    "scheme-1 (a, tau)": (1, (_A, _TAU)),
+    "scheme-2 all six": (1, (_SIGMA, _A, _TAU)),
+}
+
+
+class TestGradient:
+    DATA = _sim(41, n_dates=6, n_sites=6)
+    # 3 x 3 unit grid, 4 dates: lag-1 rows with offset (1, 0) lie on the
+    # moving frame at tau = (1, 0) under every covariance.
+    GRID = simulate_markov_planar(square_grid(3), 4, THETA0.smith, THETA0.markov, SeededStream(17))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        stage=st.sampled_from(sorted(_STAGES)),
+        unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences_in_free_coordinates(self, stage, unit, weighted, seed):
+        weights = None
+        if weighted:
+            # Weights of 0 (dropped terms), 0.5, 1 and 2 on both factors.
+            rng = np.random.default_rng(seed)
+            levels = np.array([0.0, 0.5, 1.0, 2.0])
+            weights = PairWeights(
+                temporal=levels[rng.integers(1, 4, (6, 6))] * (rng.random((6, 6)) < 0.8),
+                spatial=levels[rng.integers(1, 4, (6, 6))] * (rng.random((6, 6)) < 0.8),
+            )
+            # Keep at least one term.
+            weights.temporal[0, 1] = weights.spatial[0, 1] = 1.0
+        which, free = _STAGES[stage]
+        base = _random_theta(unit)
+        objective = _stage_objective(_objectives(self.DATA, weights)[which], base, free)
+        _assert_gradient_matches(objective, _to_free(base, free))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        a=st.sampled_from([0.55, 0.7, 0.85, 0.9]),
+    )
+    def test_moving_frame_row_and_floored_terms(self, unit, a):
+        # At tau = (1, 0) the frame rows keep h = 0 as the covariance and a
+        # move, and their terms below the singular line z2 = a**lag z1 are
+        # floored.  No frame term of this record has z2/z1 within 0.005 of
+        # a**lag at these a, so the differences cross no floor.
+        base = _random_theta(unit)
+        base[3:] = a, 1.0, 0.0
+        pairs = _prepare_st_pairs(self.GRID, None)
+        sigma = SmithParams(*base[:3])
+        (_, _, n_floored), = _log_pair_density(pairs, sigma, base[3:4], base[None, 4:])
+        assert n_floored[0] > 0
+        free = (_SIGMA, _A)
+        objective = _stage_objective(_objectives(self.GRID)[1], base, free)
+        _assert_gradient_matches(objective, _to_free(base, free))
+        # The frame terms' partials: 0 in h, and the product law's in c.
+        partials = np.empty((2, pairs.n_terms))
+        (_, logf, _), = _log_pair_density(pairs, sigma, base[3:4], base[None, 4:], partials)
+        on_frame = np.all(pairs.dx[pairs.row] == [1.0, 0.0], axis=1) & (pairs.lag[pairs.row] == 1)
+        live = on_frame & (logf[0] > inference._LOG_FLOOR)
+        alag = base[3]
+        assert np.any(live) and np.any(on_frame & ~live)
+        assert np.all(partials[0, on_frame] == 0.0)
+        assert np.all(partials[1, on_frame & ~live] == 0.0)
+        want = -alag / (1.0 - alag) + alag / pairs.z2[live]
+        np.testing.assert_allclose(partials[1, live], want, rtol=1e-14)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        chunk=st.sampled_from([7, 100, 224]),
+    )
+    def test_chunked_gradient_matches_one_chunk(self, unit, chunk):
+        theta = ThetaVector.from_array(_random_theta(unit))
+        spatial, space_time = _objectives(self.DATA)
+        whole = [f(theta, gradient=True) for f in (spatial, space_time)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_TERM_CHUNK", chunk)
+            sliced = [f(theta, gradient=True) for f in (spatial, space_time)]
+        for (value, grad), (want_value, want_grad) in zip(sliced, whole):
+            assert value == want_value
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(4, 4), (8, 8), (20, 20), (20, 30)]),
+        unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    )
+    def test_value_with_gradient_is_bit_identical(self, shape, unit):
+        n_sites, n_dates = shape
+        data = _sim(42, n_dates=n_dates, n_sites=n_sites, high=10.0)
+        weights = None
+        if shape == (20, 30):
+            weights = PairWeights.cutoff(data.dates, data.sites.coords, max_time_lag=1.0)
+        theta = ThetaVector.from_array(_random_theta(unit))
+        for f in _objectives(data, weights):
+            value, _ = f(theta, gradient=True)
+            assert value == f(theta)
+
+    def test_logit_pullback_is_zero_on_the_clamp(self):
+        base = THETA0.as_array()
+        grad = np.arange(1.0, 7.0)
+        for u_a, slope in ((0.0, 0.25), (40.0, 0.0), (-40.0, 0.0)):
+            u = np.array([u_a, 0.5, -0.5])
+            got = _free_gradient(u, grad, (_A, _TAU))
+            np.testing.assert_array_equal(got, [4.0 * slope, 5.0, 6.0])
+            assert 0.0 < _from_free(u, base, (_A, _TAU))[3] < 1.0
+
+    def test_only_one_candidate_takes_partials(self):
+        pairs = _prepare_st_pairs(self.DATA, None)
+        with pytest.raises(ValueError):
+            next(_log_pair_density(
+                pairs, THETA0.smith, np.array([0.5, 0.6]), np.zeros((2, 2)),
+                np.empty((2, pairs.n_terms)),
+            ))
 
 
 class TestPairwiseLoglik:
@@ -437,10 +607,14 @@ class TestTransforms:
         assert not np.array_equal(_from_free(_to_free(base, (_SIGMA,)), base, (_SIGMA,)), base)
         seen = []
 
-        def objective(u):
+        def objective(u, gradient=False):
             theta = _from_free(u, base, free)
             seen.append(theta)
-            return (theta[3] - 2.0) ** 2 + theta[4] ** 2 + theta[5] ** 2
+            value = (theta[3] - 2.0) ** 2 + theta[4] ** 2 + theta[5] ** 2
+            if not gradient:
+                return value
+            grad = np.concatenate([np.zeros(3), 2.0 * (theta[3:] - [2.0, 0.0, 0.0])])
+            return value, _free_gradient(u, grad, free)
 
         _nelder_mead(objective, _to_free(base, free), FitOptions(max_evals=400))
         seen = np.array(seen)
@@ -449,20 +623,57 @@ class TestTransforms:
         assert np.all((seen[:, 3] > 0.0) & (seen[:, 3] < 1.0))
 
 
+def _with_gradient(f, grad):
+    """A toy objective in the optimizer's form: ``f(u)``, or ``(f(u), grad(u))``."""
+
+    def objective(u, gradient=False):
+        return (f(u), grad(u)) if gradient else f(u)
+
+    return objective
+
+
+def _recorded(objective):
+    """``objective`` logging each call as ``(gradient, u)``."""
+    calls = []
+
+    def recording(u, gradient=False):
+        calls.append((gradient, np.array(u)))
+        return objective(u, gradient=gradient)
+
+    return recording, calls
+
+
+def _bowl(x):
+    return (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2
+
+
+def _bowl_gradient(x):
+    return np.array([2.0 * (x[0] - 3.0), 2.0 * (x[1] + 2.0)])
+
+
+def _rosen(x):
+    return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
+def _rosen_gradient(x):
+    return np.array([
+        -2.0 * (1 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
         report = _nelder_mead(
-            lambda x: (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2,
-            np.array([0.0, 0.0]), FitOptions(),
+            _with_gradient(_bowl, _bowl_gradient), np.array([0.0, 0.0]), FitOptions()
         )
         np.testing.assert_allclose(report.x, [3.0, -2.0], atol=1e-5)
         assert report.success
 
     def test_rosenbrock(self):
-        def rosen(x):
-            return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-        report = _nelder_mead(rosen, np.array([-1.2, 1.0]), FitOptions())
+        report = _nelder_mead(
+            _with_gradient(_rosen, _rosen_gradient), np.array([-1.2, 1.0]), FitOptions()
+        )
         np.testing.assert_allclose(report.x, [1.0, 1.0], atol=1e-3)
 
     def test_feasibility_under_transform(self):
@@ -470,10 +681,15 @@ class TestNelderMead:
         free = (_A, _TAU)
         base = np.array([1.0, 0.0, 1.0, 0.9, 1.0, -1.0])
 
-        def objective(u):
-            x = _from_free(u, base, free)[3:]
+        def objective(u, gradient=False):
+            theta = _from_free(u, base, free)
+            x = theta[3:]
             seen.append(x.copy())
-            return (x[0] - 0.4) ** 2 + x[1] ** 2 + x[2] ** 2
+            value = (x[0] - 0.4) ** 2 + x[1] ** 2 + x[2] ** 2
+            if not gradient:
+                return value
+            grad = np.concatenate([np.zeros(3), 2.0 * (x - [0.4, 0.0, 0.0])])
+            return value, _free_gradient(u, grad, free)
 
         _nelder_mead(objective, _to_free(base, free), FitOptions())
         seen = np.array(seen)
@@ -481,7 +697,7 @@ class TestNelderMead:
 
     def test_eval_budget_reports_non_convergence(self):
         report = _nelder_mead(
-            lambda x: np.sum(x ** 2),
+            _with_gradient(lambda x: np.sum(x ** 2), lambda x: 2.0 * x),
             np.full(6, 10.0),
             FitOptions(max_evals=20),
         )
@@ -492,8 +708,70 @@ class TestNelderMead:
         def holey(x):
             return np.nan if x[0] > 1.0 else (x[0] - 0.5) ** 2
 
-        report = _nelder_mead(holey, np.array([0.0]), FitOptions())
+        def holey_gradient(x):
+            return np.array([np.nan if x[0] > 1.0 else 2.0 * (x[0] - 0.5)])
+
+        report = _nelder_mead(_with_gradient(holey, holey_gradient), np.array([0.0]), FitOptions())
         assert abs(report.x[0] - 0.5) < 1e-4
+
+    def test_run_that_spends_its_budget_is_not_polished(self):
+        objective, calls = _recorded(_with_gradient(_bowl, _bowl_gradient))
+        report = _nelder_mead(objective, np.array([0.0, 0.0]), FitOptions(max_evals=30))
+        assert report.nfev == len(calls) == 30
+        assert not any(gradient for gradient, _ in calls)
+        assert not report.success
+
+    def test_converged_run_is_polished_once_from_best_vertex(self):
+        objective, calls = _recorded(_with_gradient(_bowl, _bowl_gradient))
+        report = _nelder_mead(objective, np.array([0.0, 0.0]), FitOptions())
+        flags = [gradient for gradient, _ in calls]
+        n_simplex = flags.index(True)
+        # One polish: every call after the simplex run asks for the gradient.
+        assert 0 < n_simplex < len(calls) and all(flags[n_simplex:])
+        assert report.nfev == len(calls)
+        # It starts at the simplex's best vertex, which it keeps or improves.
+        simplex = [u for _, u in calls[:n_simplex]]
+        best = min(simplex, key=_bowl)
+        np.testing.assert_array_equal(calls[n_simplex][1], best)
+        assert _bowl(report.x) <= _bowl(best)
+        assert report.fun == _bowl(report.x)
+
+    def test_polish_ends_at_a_point_the_objective_rejects(self):
+        # A step onto a covariance that rounds to singular must not fail the
+        # run: the polish stops without success and keeps its best point.
+        polished = []
+
+        def objective(u, gradient=False):
+            if not gradient:
+                return _bowl(u)
+            if polished:
+                raise ValidationError("storm covariance must be positive definite")
+            polished.append(np.array(u))
+            # A gradient that is not zero at the vertex, so the polish steps.
+            return _bowl(u), _bowl_gradient(u) + 1.0
+
+        recording, calls = _recorded(objective)
+        report = _nelder_mead(recording, np.array([0.0, 0.0]), FitOptions())
+        assert not report.success
+        assert [gradient for gradient, _ in calls].count(True) == 2
+        assert report.nfev == len(calls)
+        np.testing.assert_array_equal(report.x, polished[0])
+        assert report.fun == _bowl(polished[0])
+
+    def test_polish_keeps_the_hard_budget(self):
+        # The polish stops at the budget even inside a line search, and the
+        # best point it saw is kept.
+        whole, whole_calls = _recorded(_with_gradient(_rosen, _rosen_gradient))
+        _nelder_mead(whole, np.array([-1.2, 1.0]), FitOptions(xtol=1e-2, ftol=1e-2))
+        n_simplex = [g for g, _ in whole_calls].index(True)
+        budget = n_simplex + 3
+        objective, calls = _recorded(_with_gradient(_rosen, _rosen_gradient))
+        report = _nelder_mead(
+            objective, np.array([-1.2, 1.0]), FitOptions(xtol=1e-2, ftol=1e-2, max_evals=budget)
+        )
+        assert report.nfev == len(calls) == budget
+        assert not report.success
+        assert report.fun == min(_rosen(u) for _, u in calls)
 
 
 class TestFits:
@@ -536,14 +814,14 @@ class TestFits:
         st_original = inference._eval_st_loglik
         spatial_original = inference._eval_spatial_loglik
 
-        def recording(prepared, sigma, a, tau):
+        def recording(prepared, sigma, a, tau, gradient=False):
             rows.extend((sigma, a_i, tuple(tau_i)) for a_i, tau_i in zip(a, tau))
-            return st_original(prepared, sigma, a, tau)
+            return st_original(prepared, sigma, a, tau, gradient=gradient)
 
-        def spatial_recording(prepared, sigma):
-            value = spatial_original(prepared, sigma)
-            spatial_seen.append((value, sigma))
-            return value
+        def spatial_recording(prepared, sigma, gradient=False):
+            out = spatial_original(prepared, sigma, gradient=gradient)
+            spatial_seen.append((out[0] if gradient else out, sigma))
+            return out
 
         monkeypatch.setattr(inference, "_eval_st_loglik", recording)
         monkeypatch.setattr(inference, "_eval_spatial_loglik", spatial_recording)
@@ -591,10 +869,10 @@ class TestFits:
         calls = []
         original = inference._eval_st_loglik
 
-        def recording(prepared, sigma, a, tau):
+        def recording(prepared, sigma, a, tau, gradient=False):
             assert tau.shape == (a.size, 2)
             calls.append((prepared.n_terms, a.size))
-            return original(prepared, sigma, a, tau)
+            return original(prepared, sigma, a, tau, gradient=gradient)
 
         monkeypatch.setattr(inference, "_eval_st_loglik", recording)
         data = _sim(783, n_dates=6, n_sites=5)
