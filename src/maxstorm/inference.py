@@ -790,9 +790,10 @@ def _nelder_mead(
     the polish stops by L-BFGS-B's default rule.  The better point is kept,
     and ``success`` is the polish's.  A run that spends its budget in the
     simplex is not polished.  Every call, value or value and gradient, counts
-    once against ``opts.max_evals``, and a NaN value is read as +inf.  A
-    polish step the objective rejects (a covariance that rounds to singular,
-    a non-finite density) ends the polish without success.
+    once against ``opts.max_evals``, and the simplex reads a NaN value as
+    +inf.  A polish step the objective rejects (a covariance that rounds to
+    singular, a non-finite density) or scores as NaN or infinite ends the
+    polish without success.
     """
     evals = 0
 
@@ -830,7 +831,10 @@ def _nelder_mead(
             except (ValidationError, NumericalError) as exc:
                 raise _PolishStop from exc
             value = float(value)
-            value = math.inf if math.isnan(value) else value
+            # L-BFGS-B reads +inf as a step to back off from, and may then
+            # report success without moving.
+            if not math.isfinite(value):
+                raise _PolishStop
             if value < best[0]:
                 best[:] = value, x.copy()
             return value, grad

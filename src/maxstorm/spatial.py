@@ -23,7 +23,9 @@ evaluated only at the sites within ``r_buf`` of its cell.  A storm farther
 from a site reaches it only through Gaussian mass outside that disk, at
 most ``EPS_TAIL / 4`` of its scale, inside the leak the window already
 allows.  Both evaluations consume the same draws, and their values differ
-only where a storm outside that disk would have set the maximum.
+only where a storm outside that disk would have set the maximum.  The local
+evaluation also skips the sites whose running maximum no later storm can
+raise, which changes no value.
 
 Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
@@ -38,6 +40,7 @@ Sites enter as coordinate arrays, wrapped in a
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import warnings
@@ -233,11 +236,13 @@ def _storm_maxima(
     returning how many storm-entry evaluations it made.  A dense model
     evaluates every storm at every entry (:func:`_fold_dense`); the Smith
     model may instead evaluate each storm only at the entries within its
-    reach.  Since the intensities decrease, once ``U_last * sup`` falls
-    below the running minimum over entries no later storm can change any
-    value and the loop stops.  Storms past the stopping index inside the
-    final block are legitimate points of the process, so applying them is
-    harmless.  At most ``limit`` storms are drawn.
+    reach, and only at entries below the block's top bump ``u[0] * sup``.
+    Since the intensities decrease, no storm of the block or of a later one
+    can raise an entry at or above that bump; once ``U_last * sup`` falls
+    below the running minimum over entries, that holds for every entry and
+    the loop stops.  Storms past the stopping index inside the final block
+    are legitimate points of the process, so applying them is harmless.  At
+    most ``limit`` storms are drawn.
 
     Returns the values, the storms drawn, whether the stopping rule fired,
     the last intensity drawn and the storm-entry evaluations made.
@@ -278,6 +283,10 @@ _LOCAL_AREA_DISKS = 6.0
 # Cells per axis of the candidate grid at most; wider windows (over about
 # 500 r_buf) get coarser cells, which keeps the CSR row pointers at 8 MiB.
 _MAX_CELLS_PER_AXIS = 1024
+# An entry at or above this multiple of a block's top bump ``u[0] * sup`` is
+# out of reach of every later storm; the margin covers rounding in the
+# quadratic form and in ``exp(-q / 2) <= 1``.
+_RETIRE_MARGIN = 1.0 + 1e-9
 
 
 class _CandidateLists:
@@ -325,6 +334,14 @@ class _CandidateLists:
         start = self.indptr[cell]
         return start, self.indptr[cell + 1] - start
 
+    def restrict(self, live: np.ndarray) -> _CandidateLists:
+        """The same grid, each list cut to the entries where ``live`` holds."""
+        keep = live[self.indices]
+        out = copy.copy(self)
+        out.indices = self.indices[keep]
+        out.indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return out
+
 
 def _smith_values(
     coords: np.ndarray,
@@ -345,7 +362,17 @@ def _smith_values(
     which lies inside the leak the window already allows.  Both paths draw
     the same storms and compute each evaluated pair identically.
 
-    Returns the values, the storms drawn and the storm-entry evaluations.
+    The local path also retires entries.  At the start of each storm block
+    an entry whose running value is at least ``u[0] * sup * _RETIRE_MARGIN``
+    leaves the candidate lists for the block.  This is exact: a bump is
+    ``u * sup * exp(-q / 2)`` with ``u <= u[0]`` from here on and
+    ``exp(-q / 2) <= 1``, so it cannot exceed the value, and the margin
+    covers rounding.  The storms drawn and the stopping rule do not depend
+    on which entries are live, so every value is bit for bit the one that
+    evaluating every candidate pair gives, with fewer evaluations.
+
+    Returns the values, the storms drawn and the storm-entry evaluations
+    made.
     """
     r_buf = params.buffer_radius()
     lo = coords.min(axis=0) - r_buf
@@ -369,7 +396,9 @@ def _smith_values(
 
     def fold_local(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         centers = rng.uniform(lo, hi, size=(u.size, 2))
-        start, count = cells.rows(centers)
+        live = values < u[0] * norm * _RETIRE_MARGIN
+        lists = cells if live.all() else cells.restrict(live)
+        start, count = lists.rows(centers)
         end = np.cumsum(count)
         k = 0
         while k < u.size:
@@ -378,7 +407,7 @@ def _smith_values(
             stop = max(int(np.searchsorted(end, first + _PAIR_CHUNK, side="right")), k + 1)
             c = count[k:stop]
             offset = np.repeat(start[k:stop] - (end[k:stop] - c - first), c)
-            entry = cells.indices[np.arange(offset.size) + offset]
+            entry = lists.indices[np.arange(offset.size) + offset]
             # Offsets as (2, pairs) rows, so each component is contiguous.
             dx = np.empty((2, entry.size))
             for ax in (0, 1):

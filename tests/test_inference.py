@@ -758,6 +758,22 @@ class TestNelderMead:
         np.testing.assert_array_equal(report.x, polished[0])
         assert report.fun == _bowl(polished[0])
 
+    def test_polish_ends_at_a_non_finite_value(self):
+        # The minimum sits on the edge of the region where the objective is
+        # finite, and the gradient there points out of it.  L-BFGS-B would
+        # back off from the infinite step and report success without moving.
+        def edge(x):
+            return np.inf if x[0] < -0.5 else x[0] + x[1] ** 2
+
+        objective, calls = _recorded(_with_gradient(edge, lambda x: np.array([1.0, 2.0 * x[1]])))
+        report = _nelder_mead(objective, np.array([0.0, 0.3]), FitOptions())
+        polish = [u for gradient, u in calls if gradient]
+        assert len(polish) >= 2 and edge(polish[-1]) == np.inf
+        assert not report.success
+        assert report.nfev == len(calls)
+        assert report.fun == min(edge(u) for _, u in calls)
+        np.testing.assert_allclose(report.x, [-0.5, 0.0], atol=1e-4)
+
     def test_polish_keeps_the_hard_budget(self):
         # The polish stops at the budget even inside a line search, and the
         # best point it saw is kept.

@@ -121,6 +121,9 @@ class TestPlanarRecursion:
         assert evals[0] <= 0.25 * storms[0] * 600
         for i in range(30):
             assert 0 < evals[i] <= storms[i] * (30 - i) * 20
+        # Entries no later storm can raise are retired: 484,107 evaluations,
+        # against 2,358,341 when every candidate pair is evaluated.
+        assert sum(evals) <= 700_000
 
 
 class TestSphereRecursion:

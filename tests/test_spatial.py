@@ -25,7 +25,14 @@ from maxstorm import (
     vmf_density,
 )
 from maxstorm.point_process import STORM_CAP
-from maxstorm.spatial import _CandidateLists, _smith_values
+from maxstorm.spatial import (
+    _LOCAL_AREA_DISKS,
+    _PAIR_CHUNK,
+    _CandidateLists,
+    _quadratic_form,
+    _smith_values,
+    _storm_maxima,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,6 +150,75 @@ def _dense_smith_reference(coords, params, rng):
         block = min(2 * block, 65536)
 
 
+def _every_pair_local_reference(coords, params, rng):
+    """The local storm fold with no entry retired, driven by the storm loop.
+
+    Every storm is evaluated at every entry of its cell's candidate list,
+    whatever the entry's running value.  Returns the values, the storms
+    drawn and the storm-entry evaluations.
+    """
+    r_buf = params.buffer_radius()
+    lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
+    area = float(np.prod(hi - lo))
+    assert area > _LOCAL_AREA_DISKS * np.pi * r_buf * r_buf, "layout is on the dense path"
+    si, norm = params.sigma_inv, params.density_bound
+    cells = _CandidateLists(coords, lo, hi, r_buf)
+    coords_t = np.ascontiguousarray(coords.T)
+
+    def fold(rng, u, values):
+        centers = rng.uniform(lo, hi, size=(u.size, 2))
+        start, count = cells.rows(centers)
+        end = np.cumsum(count)
+        k = 0
+        while k < u.size:
+            first = end[k] - count[k]
+            stop = max(int(np.searchsorted(end, first + _PAIR_CHUNK, side="right")), k + 1)
+            c = count[k:stop]
+            offset = np.repeat(start[k:stop] - (end[k:stop] - c - first), c)
+            entry = cells.indices[np.arange(offset.size) + offset]
+            dx = np.empty((2, entry.size))
+            for ax in (0, 1):
+                np.subtract(coords_t[ax][entry], np.repeat(centers[k:stop, ax], c), out=dx[ax])
+            bumps = np.repeat(u[k:stop], c) * (norm * np.exp(-0.5 * _quadratic_form(dx.T, si)))
+            np.maximum.at(values, entry, bumps)
+            k = stop
+        return int(end[-1])
+
+    values, n_storms, stopped, _, evals = _storm_maxima(
+        rng, coords.shape[0], fold, area, norm, STORM_CAP
+    )
+    assert stopped
+    return values, n_storms, evals
+
+
+def _shifted_copies(n_sites, n_lags, step, seed=0):
+    grid = np.random.default_rng(seed).uniform(0, 10, size=(n_sites, 2))
+    return np.concatenate([grid + lag * np.asarray(step) for lag in range(n_lags)])
+
+
+class _ScriptedGenerator:
+    """Plays back given exponentials and storm centers, one block per draw."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+        self._centers = None
+
+    def exponential(self, size):
+        exponentials, self._centers = next(self._blocks)
+        assert len(exponentials) == size
+        return np.asarray(exponentials, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert self._centers.shape == size
+        return self._centers
+
+
+# A window about 640 buffer radii wide: its grid is capped at 1,024 cells
+# along x, so each cell is wider than r_buf / 2.
+_CAPPED_LINE = np.column_stack([np.linspace(0.0, 500.0, 40), np.tile([0.0, 1.0], 20)])
+_CAPPED_PARAMS = SmithParams(0.01, 0.0, 0.02)
+
+
 class TestLocalEvaluation:
     """Local and dense storm evaluation reproduce the dense loop exactly."""
 
@@ -163,6 +239,58 @@ class TestLocalEvaluation:
         np.testing.assert_array_equal(values, ref_values)
         dense_evals = n_storms * coords.shape[0]
         assert (n_evals < dense_evals) if local else (n_evals == dense_evals)
+
+    @pytest.mark.parametrize(
+        "coords, params",
+        [
+            (_shifted_copies(20, 30, (-1.0, -1.0)), SmithParams(1.0, 0.0, 1.0)),
+            (_shifted_copies(20, 30, (1.0, 1.0)), SmithParams(1.0, 0.3, 2.0)),
+            (_shifted_copies(20, 30, (1.0, -0.5)), SmithParams(4.0, 1.9, 1.0)),
+            (_shifted_copies(5, 40, (2.0, 0.0), seed=3), SmithParams(0.5, -0.2, 0.3)),
+            (np.array([[0.0, 0.0], [60.0, 0.0], [0.0, 45.0]]), SmithParams(1.0, 0.0, 1.0)),
+            (_CAPPED_LINE, _CAPPED_PARAMS),
+        ],
+        ids=["record 20x30", "20x30 correlated", "20x30 elongated", "5x40", "three far sites", "cell cap"],
+    )
+    def test_retiring_entries_matches_every_pair_fold(self, coords, params):
+        # Entries no later storm can raise are skipped; every value and the
+        # storm count stay bit-identical to evaluating every candidate pair.
+        values, n_storms, n_evals = _smith_values(
+            coords, params, SeededStream(7).generator(), STORM_CAP
+        )
+        ref_values, ref_storms, ref_evals = _every_pair_local_reference(
+            coords, params, SeededStream(7).generator()
+        )
+        assert n_storms == ref_storms
+        np.testing.assert_array_equal(values, ref_values)
+        assert n_evals <= ref_evals
+
+    def test_entry_just_below_the_top_bump_stays_live(self):
+        # Scripted storms.  Block 1 leaves entry 0 at 0.995 of its top bump
+        # and entry 1 at the top bump.  Block 2 starts a hair lower and lands
+        # one storm on each entry: entry 1 is retired, entry 0 is raised.
+        coords = np.array([[0.0, 0.0], [60.0, 0.0]])
+        far = [30.0, 0.0]
+        first = np.tile(far, (64, 1))
+        first[0] = [np.sqrt(-2.0 * np.log(0.995)), 0.0]
+        first[1] = coords[1]
+        second = np.tile(far, (128, 1))
+        second[5], second[6] = coords
+        blocks = [(np.r_[1.0, np.full(63, 1e-9)], first), (np.full(128, 1e-9), second)]
+        params = SmithParams(1.0, 0.0, 1.0)
+        values, n_storms, n_evals = _smith_values(coords, params, _ScriptedGenerator(blocks), 192)
+        ref_values, ref_storms, ref_evals = _every_pair_local_reference(
+            coords, params, _ScriptedGenerator(blocks)
+        )
+        assert n_storms == ref_storms == 192
+        np.testing.assert_array_equal(values, ref_values)
+        assert values[0] > 0.999 * values[1]
+        assert (n_evals, ref_evals) == (3, 4)
+
+    def test_cell_cap_layout_is_capped(self):
+        r_buf = _CAPPED_PARAMS.buffer_radius()
+        lo, hi = _CAPPED_LINE.min(axis=0) - r_buf, _CAPPED_LINE.max(axis=0) + r_buf
+        assert _CandidateLists(_CAPPED_LINE, lo, hi, r_buf).shape[0] == 1024
 
     def test_candidate_lists_hold_exactly_the_entries_in_reach(self):
         # A cell's list is every entry within r_buf of the cell's rectangle,

@@ -1,0 +1,106 @@
+"""Digests of seeded outputs, for checking that a change keeps the bytes.
+
+Run from the root of a checkout, at two commits, and compare the output:
+
+    PYTHONPATH=src python tools/digests.py
+
+Each line is a name and a sha256.  ``simulators`` covers every simulator
+on small inputs, most of them on the dense storm path, plus two
+log-likelihoods; ``field.csv`` is the file ``maxstorm simulate`` writes.
+The ``local`` lines cover Smith recursions on the local storm path: 20
+uniform sites on [0, 10]^2 over 20, 30 and 80 dates (records of the study
+recipe, seed 1), and a 30-date record under an elongated covariance.  They
+hash the values and the storms drawn per date.  The ``evals`` lines give
+the storm-entry evaluations of the same records: a faster storm fold may
+lower them without changing any value.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import tempfile
+
+import numpy as np
+
+import maxstorm as ms
+from maxstorm.cli import main
+
+INI = """[model]\nkind = smith\nsigma11 = 1.0\nsigma12 = 0.2\nsigma22 = 1.5
+[temporal]\na = 0.7\ntau = -1, -1
+[sites]\nlayout = uniform\nn_sites = 10
+[run]\nn_dates = 8\nseed = 424242
+"""
+
+# (name, storm covariance, dates, records) of the local-path recursions.
+LOCAL = (
+    ("20x20", ms.SmithParams(1.0, 0.0, 1.0), 20, 4),
+    ("20x30", ms.SmithParams(1.0, 0.0, 1.0), 30, 2),
+    ("20x80", ms.SmithParams(1.0, 0.0, 1.0), 80, 1),
+    ("20x30 elongated", ms.SmithParams(4.0, 1.9, 1.0), 30, 1),
+)
+
+
+def simulators() -> str:
+    h = hashlib.sha256()
+
+    def add(f):
+        h.update(np.ascontiguousarray(f.values).tobytes())
+
+    grid, sph = ms.square_grid(3, 1.5), ms.fibonacci_sphere(12)
+    smith, sch = ms.SmithParams(1.0, 0.3, 2.0), ms.SchlatherParams(2.0, 1.0)
+    mk_p = ms.MarkovParams(0.6, (-1.0, 0.5))
+    mk_s = ms.MarkovParams(0.6, rotation=ms.RotationSpec(0.4, (0.0, 0.0, 1.0)))
+    for s in range(50):
+        st = ms.SeededStream(s)
+        add(ms.simulate_smith(grid, smith, st))
+        for k in (0.0, 1.0, 5.0):
+            add(ms.simulate_vmf_field(sph, ms.VmfParams(k), st))
+        for n in (1000, 20000):
+            add(ms.simulate_schlather(grid, sch, st, n))
+        add(ms.simulate_markov_planar(ms.square_grid(2), 4, smith, mk_p, st))
+        add(ms.simulate_markov_planar(ms.square_grid(2), 4, sch, mk_p, st))
+        add(ms.simulate_markov_sphere(ms.fibonacci_sphere(4), 4, ms.VmfParams(2.0), mk_s, st))
+        add(ms.truncated_moving_max(ms.square_grid(2), np.arange(1, 5), smith, mk_p, 3, st))
+    x = np.stack(np.meshgrid(*[np.linspace(-3, 3, 41)] * 2), -1)
+    h.update(ms.gaussian_density_2d(x, smith).tobytes())
+    h.update(ms.mahalanobis_distance(x, smith).tobytes())
+    f = ms.simulate_markov_planar(ms.square_grid(3), 5, smith, mk_p, ms.SeededStream(9))
+    theta = ms.ThetaVector(1.0, 0.3, 2.0, 0.6, -1.0, 0.5)
+    h.update(np.float64(ms.pairwise_loglik(f, theta)).tobytes())
+    h.update(np.float64(ms.spatial_pairwise_loglik(f, smith)).tobytes())
+    return h.hexdigest()
+
+
+def field_csv() -> str:
+    with tempfile.TemporaryDirectory() as d:
+        pathlib.Path(d, "run.ini").write_text(INI)
+        # The CLI prints the temporary path it wrote; keep it off the output.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", f"{d}/run.ini", "--out", f"{d}/out"]) == 0
+        return hashlib.sha256(pathlib.Path(d, "out", "field.csv").read_bytes()).hexdigest()
+
+
+def local(params: ms.SmithParams, n_dates: int, records: int) -> tuple[str, int]:
+    h = hashlib.sha256()
+    evals = 0
+    markov = ms.MarkovParams(0.7, (-1.0, -1.0))
+    for i in range(records):
+        root = ms.SeededStream(1).child(i)
+        sites = ms.SiteSet.planar(root.child(0).generator().uniform(0.0, 10.0, size=(20, 2)))
+        f = ms.simulate_markov_planar(sites, n_dates, params, markov, root.child(1))
+        h.update(np.ascontiguousarray(f.values).tobytes())
+        h.update(np.asarray(f.meta["n_storms_per_date"], dtype=np.int64).tobytes())
+        evals += sum(f.meta["n_storm_evals_per_date"])
+    return h.hexdigest(), evals
+
+
+if __name__ == "__main__":
+    print("simulators", simulators())
+    print("field.csv", field_csv())
+    for name, params, n_dates, records in LOCAL:
+        digest, evals = local(params, n_dates, records)
+        print(f"local {name}", digest)
+        print(f"evals {name}", evals)
