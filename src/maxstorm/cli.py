@@ -1,10 +1,10 @@
 """Command-line surface: simulate, dependence, fit, mc-study.
 
 All output files are plain CSV or JSON with full-precision floats; a fixed
-seed makes every command reproduce its outputs byte for byte (fit reports
-additionally carry a wall-time field, which is the one number allowed to
-differ between runs).  Exit codes: 0 success, 2 invalid configuration or
-arguments, 3 file format or I/O trouble, 4 numerical or resource failure.
+seed makes every command reproduce its outputs byte for byte (a fit's wall
+time is printed to the console only, never written to ``fit.json``).  Exit
+codes: 0 success, 2 invalid configuration or arguments, 3 file format or I/O
+trouble, 4 numerical or resource failure.
 """
 
 from __future__ import annotations

@@ -19,11 +19,14 @@ spatial pair, ``a**l = 1``).  Pairs aligned with the moving frame
 continuous part is an independent Frechet product on ``z2 > a**l z1`` and
 zero below.
 
-The composite objective sums ``log f`` over the quadruple index set pairing
-observation ``(t_i, x_k)`` with ``(t_j, x_l)`` for ``i < j`` and ``k < l``
-(strict on both, so same-date and same-site pairs never enter), optionally
-weighted.  The parameter-free parts of every term are prepared once per
-dataset, and ``h`` and ``a**l`` once per distinct (lag, site pair).
+Each composite objective sums ``log f``, optionally weighted, over the
+pairs of observation ``(t_i, x_k)`` with ``(t_j, x_l)`` for ``k < l`` (so
+same-site pairs never enter) and for one set of date pairs: ``i < j`` for
+the space-time objective, ``i == j`` for the same-date one, whose terms are
+lag-0 terms (``a**0 = 1``).  One builder crosses either set with the site
+pairs; a same-date pair has temporal weight 1.  The parameter-free parts of
+every term are prepared once per dataset, and ``h`` and ``a**l`` once per
+distinct (lag, site pair).
 Both estimation schemes run through one driver, :func:`_fit`, as a list of
 stages over ``theta = (sigma11, sigma12, sigma22, a, tau1, tau2)``.  A stage
 names its objective, the parameter blocks it frees and its starts.  Scheme 1
@@ -129,8 +132,9 @@ class PairWeights:
 
     ``temporal[i, j]`` weights the date pair ``(t_i, t_j)`` and
     ``spatial[k, l]`` the site pair ``(x_k, x_l)``; only the strict upper
-    triangles are read.  A quadruple's weight is the product, and zero-weight
-    quadruples are dropped from the objective.
+    triangles are read, so the same-date objective, whose date pairs are
+    ``i == j``, reads ``spatial`` alone.  A quadruple's weight is the product,
+    and zero-weight quadruples are dropped from the objective.
     """
 
     temporal: np.ndarray | None = None
@@ -200,9 +204,12 @@ class FitOptions:
     default rule.  ``max_evals`` is a hard cap on the objective evaluations
     of each optimizer run, its polish included.  The cutoff radii are how a
     fit is weighted: pairs more than ``max_time_lag`` apart in time or
-    ``max_space_dist`` apart in space are dropped from both objectives.
-    :class:`PairWeights` serves :func:`pairwise_loglik` and
-    :func:`spatial_pairwise_loglik` directly.
+    ``max_space_dist`` apart in space are dropped.  The time cutoff acts on
+    the space-time objective's date pairs ``i < j``; the same-date pairs
+    ``i == j`` are lag 0 and stay.  :class:`PairWeights` serves
+    :func:`pairwise_loglik` and :func:`spatial_pairwise_loglik` directly.
+    ``max_evals`` must be an integer of at least 1, and the tolerances and
+    any cutoff given finite and positive.
     """
 
     xtol: float = 1e-6
@@ -210,6 +217,16 @@ class FitOptions:
     max_evals: int = 5000
     max_time_lag: float | None = None
     max_space_dist: float | None = None
+
+    def __post_init__(self) -> None:
+        evals = self.max_evals
+        if isinstance(evals, bool) or not isinstance(evals, (int, np.integer)) or evals < 1:
+            raise ValidationError(f"max_evals must be an integer of at least 1, got {evals!r}")
+        cutoffs = [n for n in ("max_time_lag", "max_space_dist") if getattr(self, n) is not None]
+        for name in ("xtol", "ftol", *cutoffs):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -550,32 +567,33 @@ def bivariate_density(
     return float(np.exp(logf[0, 0]))
 
 
-def _prepare_st_pairs(data: SpaceTimeField, weights: PairWeights | None) -> _PreparedPairs:
+def _prepare_pairs(
+    data: SpaceTimeField, weights: PairWeights | None, date_pairs: tuple[np.ndarray, np.ndarray]
+) -> _PreparedPairs:
+    """Pair table of the date pairs ``(ti, tj)``, ``ti <= tj``, crossed with site pairs ``k < l``.
+
+    The space-time objective passes ``np.triu_indices(n, 1)`` and the
+    same-date one the diagonal.  ``weights.temporal`` is read only where
+    ``ti < tj``; a same-date pair has temporal weight 1.
+    """
     n, m = data.n_dates, data.n_sites
-    if n < 2 or m < 2:
-        raise ValidationError(
-            f"need at least 2 dates and 2 sites, got N={n}, M={m}"
-        )
+    ti, tj = date_pairs
+    if m < 2 or ti.size == 0:
+        raise ValidationError(f"no pairs to sum over N={n} dates and M={m} sites")
+    for name, size, unit in (("temporal", n, "dates"), ("spatial", m, "sites")):
+        w = None if weights is None else getattr(weights, name)
+        if w is not None and w.shape[0] != size:
+            raise ValidationError(f"{name} weights are {w.shape[0]}-square for {size} {unit}")
     dates = np.asarray(data.dates, dtype=float)
     coords = np.asarray(data.sites.coords)
-    values = np.asarray(data.values)
-
-    if weights is not None:
-        if weights.temporal is not None and weights.temporal.shape[0] != n:
-            raise ValidationError(
-                f"temporal weights are {weights.temporal.shape[0]}-square for {n} dates"
-            )
-        if weights.spatial is not None and weights.spatial.shape[0] != m:
-            raise ValidationError(
-                f"spatial weights are {weights.spatial.shape[0]}-square for {m} sites"
-            )
-    ti, tj = np.triu_indices(n, k=1)
     sk, sl = np.triu_indices(m, k=1)
-    wt = np.ones(ti.size) if weights is None or weights.temporal is None else weights.temporal[ti, tj]
+    wt = np.ones(ti.size)
+    if weights is not None and weights.temporal is not None:
+        wt = np.where(ti < tj, weights.temporal[ti, tj], 1.0)
     ws = np.ones(sk.size) if weights is None or weights.spatial is None else weights.spatial[sk, sl]
 
     # Quadruples in canonical order: date pair major, site pair minor.
-    flat = values.ravel()
+    flat = np.asarray(data.values).ravel()
     z1 = flat[(ti[:, None] * m + sk[None, :]).ravel()]
     z2 = flat[(tj[:, None] * m + sl[None, :]).ravel()]
     weight = (wt[:, None] * ws[None, :]).ravel()
@@ -621,31 +639,7 @@ def pairwise_loglik(
     contiguous array, whose pairwise reduction order depends only on the
     term count, so the value is the same bits on every run.
     """
-    return _st_loglik_at(_prepare_st_pairs(data, weights), theta)
-
-
-def _prepare_spatial_pairs(
-    data: SpaceTimeField, weights: PairWeights | None
-) -> _PreparedPairs:
-    n, m = data.n_dates, data.n_sites
-    if m < 2:
-        raise ValidationError(f"need at least 2 sites, got M={m}")
-    if weights is not None and weights.spatial is not None and weights.spatial.shape[0] != m:
-        raise ValidationError(
-            f"spatial weights are {weights.spatial.shape[0]}-square for {m} sites"
-        )
-    coords = np.asarray(data.sites.coords)
-    values = np.asarray(data.values)
-    sk, sl = np.triu_indices(m, k=1)
-    ws = np.ones(sk.size) if weights is None or weights.spatial is None else weights.spatial[sk, sl]
-    return _prepared_pairs(
-        values[:, sk].ravel(),
-        values[:, sl].ravel(),
-        np.tile(ws, n),
-        np.tile(np.arange(sk.size), n),
-        np.zeros(sk.size),
-        coords[sl] - coords[sk],
-    )
+    return _st_loglik_at(_prepare_pairs(data, weights, np.triu_indices(data.n_dates, 1)), theta)
 
 
 def _eval_spatial_loglik(
@@ -672,7 +666,8 @@ def spatial_pairwise_loglik(
     the purely spatial pair density; temporal parameters never enter, which
     is what lets the covariance be estimated separately.
     """
-    return _eval_spatial_loglik(_prepare_spatial_pairs(data, weights), sigma)
+    same_date = (np.arange(data.n_dates),) * 2
+    return _eval_spatial_loglik(_prepare_pairs(data, weights, same_date), sigma)
 
 
 def _sigma_to_chol(sigma: np.ndarray) -> np.ndarray:
@@ -964,8 +959,9 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     weights = PairWeights.cutoff(
         data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
     )
-    spatial_pairs = _prepare_spatial_pairs(data, weights) if scheme == 1 else None
-    st_pairs = _prepare_st_pairs(data, weights)
+    n = data.n_dates
+    spatial_pairs = _prepare_pairs(data, weights, (np.arange(n),) * 2) if scheme == 1 else None
+    st_pairs = _prepare_pairs(data, weights, np.triu_indices(n, 1))
     scan_pairs = _short_lag_pairs(st_pairs)
 
     def spatial(theta: ThetaVector, gradient: bool = False):

@@ -102,7 +102,9 @@ def _schemes(config: StudyConfig) -> tuple[int, ...]:
     return (int(config.scheme),)
 
 
-def _one_replicate(config: StudyConfig, index: int) -> list[ReplicateRecord]:
+def _one_replicate(
+    config: StudyConfig, options: FitOptions, index: int
+) -> list[ReplicateRecord]:
     root = SeededStream(config.seed).child(index)
     layout_rng = root.child(0).generator()
     coords = layout_rng.uniform(config.low, config.high, size=(config.n_sites, 2))
@@ -114,7 +116,6 @@ def _one_replicate(config: StudyConfig, index: int) -> list[ReplicateRecord]:
         config.theta0.markov,
         root.child(1),
     )
-    options = FitOptions(max_evals=config.max_evals)
     records = []
     for scheme in _schemes(config):
         fit = fit_scheme1 if scheme == 1 else fit_scheme2
@@ -165,13 +166,17 @@ def run_study(config: StudyConfig) -> StudyResult:
     Output order is by replicate index then scheme regardless of thread
     scheduling; with a fixed seed the whole result is deterministic.
     """
+    # Built first, so an invalid budget fails before any replicate runs.
+    options = FitOptions(max_evals=config.max_evals)
     workers = min(worker_count(), config.replicates)
     if workers <= 1:
-        nested = [_one_replicate(config, i) for i in range(config.replicates)]
+        nested = [_one_replicate(config, options, i) for i in range(config.replicates)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             nested = list(
-                pool.map(lambda i: _one_replicate(config, i), range(config.replicates))
+                pool.map(
+                    lambda i: _one_replicate(config, options, i), range(config.replicates)
+                )
             )
     records = [rec for group in nested for rec in group]
     return StudyResult(

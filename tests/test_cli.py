@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from maxstorm import extremal_coefficient, read_field, read_meta
+from maxstorm import study as study_module
 from maxstorm.cli import main
 from maxstorm.config import load_config
 from maxstorm.dependence import LagSpec
@@ -224,6 +225,38 @@ def test_missing_field_file_exits_with_io_code(tmp_path, sim_config):
         "--out", str(tmp_path / "fit.json"),
     ])
     assert code == 3
+
+
+def test_fit_budget_of_zero_exits_with_validation_code(tmp_path, sim_config):
+    assert main(["simulate", "--config", str(sim_config), "--out", str(tmp_path / "sim")]) == 0
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(SIM_INI.replace("max_evals = 1200", "max_evals = 0"), encoding="utf-8")
+    out = tmp_path / "fit.json"
+    code = main([
+        "fit", "--config", str(cfg), "--field", str(tmp_path / "sim" / "field.csv"),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_mc_study_budget_of_zero_fails_before_any_replicate(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(study_module, "_one_replicate", lambda *args: ran.append(args) or [])
+    ini = SIM_INI + """
+[study]
+replicates = 2
+n_dates = 6
+n_sites = 6
+seed = 31
+max_evals = 0
+"""
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = tmp_path / "study"
+    assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ran == []
+    assert not out.exists()
 
 
 def test_bad_config_exits_with_validation_code(tmp_path):

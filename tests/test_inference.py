@@ -39,8 +39,7 @@ from maxstorm.inference import (
     _from_free,
     _log_pair_density,
     _nelder_mead,
-    _prepare_spatial_pairs,
-    _prepare_st_pairs,
+    _prepare_pairs,
     _prepared_pairs,
     _short_lag_pairs,
     _st_loglik_at,
@@ -52,6 +51,16 @@ from maxstorm.inference import (
 THETA0 = ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
 X1 = np.array([0.0, 0.0])
 X2 = np.array([1.0, 0.0])
+
+
+def _st_table(data, weights):
+    """The space-time objective's table: date pairs i < j."""
+    return _prepare_pairs(data, weights, np.triu_indices(data.n_dates, 1))
+
+
+def _same_date_table(data, weights):
+    """The same-date objective's table: date pairs i == j."""
+    return _prepare_pairs(data, weights, (np.arange(data.n_dates),) * 2)
 
 
 def _sim(seed, n_dates=6, n_sites=6, low=0.0, high=6.0):
@@ -260,7 +269,7 @@ class TestCandidateStacks:
         tau = np.where(rng.random((k, 1)) < 0.5, rng.integers(-2, 3, (k, 2)), rng.uniform(-3, 3, (k, 2)))
         frame_at = min(frame_at, k)
         a, tau = np.insert(a, frame_at, 0.9), np.insert(tau, frame_at, [1.0, 0.0], axis=0)
-        pairs = _prepare_st_pairs(self.DATA, None)
+        pairs = _st_table(self.DATA, None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inference, "_TERM_CHUNK", chunk)
             stacked = _eval_st_loglik(pairs, sigma, a, tau)
@@ -279,8 +288,8 @@ def _random_theta(u):
 
 def _objectives(data, weights=None):
     """Each stage's log likelihood of theta: the same-date one and the space-time one."""
-    spatial_pairs = _prepare_spatial_pairs(data, weights)
-    st_pairs = _prepare_st_pairs(data, weights)
+    spatial_pairs = _same_date_table(data, weights)
+    st_pairs = _st_table(data, weights)
 
     def spatial(theta, gradient=False):
         return _eval_spatial_loglik(spatial_pairs, theta.smith, gradient=gradient)
@@ -361,7 +370,7 @@ class TestGradient:
         # a**lag at these a, so the differences cross no floor.
         base = _random_theta(unit)
         base[3:] = a, 1.0, 0.0
-        pairs = _prepare_st_pairs(self.GRID, None)
+        pairs = _st_table(self.GRID, None)
         sigma = SmithParams(*base[:3])
         (_, _, n_floored), = _log_pair_density(pairs, sigma, base[3:4], base[None, 4:])
         assert n_floored[0] > 0
@@ -422,7 +431,7 @@ class TestGradient:
             assert 0.0 < _from_free(u, base, (_A, _TAU))[3] < 1.0
 
     def test_only_one_candidate_takes_partials(self):
-        pairs = _prepare_st_pairs(self.DATA, None)
+        pairs = _st_table(self.DATA, None)
         with pytest.raises(ValueError):
             next(_log_pair_density(
                 pairs, THETA0.smith, np.array([0.5, 0.6]), np.zeros((2, 2)),
@@ -551,6 +560,28 @@ class TestSpatialPairwiseLoglik:
                     expected += np.log(f)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_equals_sum_of_weighted_same_date_densities(self):
+        # Non-uniform spatial weights, one of them zero, and temporal weights
+        # with a zero diagonal: a same-date pair has temporal weight 1, so
+        # only the spatial weight enters.
+        data = _sim(32, n_dates=4, n_sites=5)
+        coords = np.asarray(data.sites.coords)
+        theta = ThetaVector(1.2, 0.3, 0.8, 0.6, -0.7, 0.4)
+        rng = np.random.default_rng(32)
+        ws, wt = rng.uniform(0.1, 3.0, (5, 5)), rng.uniform(0.1, 3.0, (4, 4))
+        ws[1, 3] = 0.0
+        np.fill_diagonal(wt, 0.0)
+        got = spatial_pairwise_loglik(data, theta.smith, PairWeights(wt, ws))
+        expected = 0.0
+        for i in range(4):
+            for k, l in itertools.combinations(range(5), 2):
+                if ws[k, l] > 0:
+                    f = bivariate_density(
+                        data.values[i, k], data.values[i, l], i, i, coords[k], coords[l], theta
+                    )
+                    expected += ws[k, l] * np.log(f)
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_true_scale_beats_inflated_scale_on_average(self, smith_identity):
         # Composite-likelihood consistency probe: averaged over replicates,
         # the truth must score higher than a doubled first variance.
@@ -560,6 +591,84 @@ class TestSpatialPairwiseLoglik:
             at_truth += spatial_pairwise_loglik(data, smith_identity)
             inflated += spatial_pairwise_loglik(data, SmithParams(2.0, 0.0, 1.0))
         assert at_truth > inflated
+
+
+def _frechet_field(rng, n_dates, n_sites):
+    """Independent unit-Frechet values on uniform sites in [0, 6]^2."""
+    sites = SiteSet.planar(rng.uniform(0.0, 6.0, (n_sites, 2)))
+    values = 1.0 / rng.standard_exponential((n_dates, n_sites))
+    return SpaceTimeField(sites, np.arange(1, n_dates + 1), values)
+
+
+class TestObjectiveInvariance:
+    # The space-time objective keeps one orientation of each site offset, so
+    # it is not invariant under permuting the sites; only the same-date one is.
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_dates=st.integers(1, 5), n_sites=st.integers(2, 7))
+    def test_spatial_loglik_invariant_under_site_permutation(self, seed, n_dates, n_sites):
+        rng = np.random.default_rng(seed)
+        data = _frechet_field(rng, n_dates, n_sites)
+        perm = rng.permutation(n_sites)
+        permuted = SpaceTimeField(
+            SiteSet.planar(np.asarray(data.sites.coords)[perm]), data.dates, data.values[:, perm]
+        )
+        sigma = SmithParams(*_random_theta(rng.random(6))[:3])
+        want = spatial_pairwise_loglik(data, sigma)
+        assert spatial_pairwise_loglik(permuted, sigma) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_dates=st.integers(2, 5),
+        n_sites=st.integers(2, 7),
+        shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    )
+    def test_objectives_invariant_under_coordinate_translation(
+        self, seed, n_dates, n_sites, shift
+    ):
+        rng = np.random.default_rng(seed)
+        data = _frechet_field(rng, n_dates, n_sites)
+        moved = SpaceTimeField(
+            SiteSet.planar(np.asarray(data.sites.coords) + shift), data.dates, data.values
+        )
+        theta = ThetaVector.from_array(_random_theta(rng.random(6)))
+        want = pairwise_loglik(data, theta)
+        assert pairwise_loglik(moved, theta) == pytest.approx(want, rel=1e-12)
+        want = spatial_pairwise_loglik(data, theta.smith)
+        assert spatial_pairwise_loglik(moved, theta.smith) == pytest.approx(want, rel=1e-12)
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("bad", [
+        {"max_evals": 0},
+        {"max_evals": -5},
+        {"max_evals": 2.5},
+        {"max_evals": 100.0},
+        {"max_evals": True},
+        {"xtol": 0.0},
+        {"xtol": -1.0},
+        {"xtol": math.nan},
+        {"xtol": math.inf},
+        {"ftol": 0.0},
+        {"ftol": -1e-8},
+        {"ftol": math.nan},
+        {"max_time_lag": 0.0},
+        {"max_time_lag": -1.0},
+        {"max_time_lag": math.inf},
+        {"max_time_lag": math.nan},
+        {"max_space_dist": 0.0},
+        {"max_space_dist": -2.0},
+        {"max_space_dist": math.inf},
+    ])
+    def test_values_that_break_the_contract_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            FitOptions(**bad)
+
+    def test_valid_values_accepted(self):
+        opts = FitOptions(
+            xtol=1e-3, ftol=2, max_evals=np.int64(1), max_time_lag=1, max_space_dist=0.5
+        )
+        assert opts.max_evals == 1
 
 
 class TestTransforms:
@@ -857,14 +966,14 @@ class TestFits:
         for dates, max_space_dist in cases:
             data = SpaceTimeField(sim.sites, dates, sim.values)
             coords = data.sites.coords
-            fit_table = _prepare_st_pairs(
+            fit_table = _st_table(
                 data, PairWeights.cutoff(dates, coords, None, max_space_dist)
             )
             scan_pairs = _short_lag_pairs(fit_table)
             short = PairWeights.cutoff(dates, coords, 2.0, max_space_dist)
             # The masked table is the table built under the short cutoff,
             # array for array.
-            direct = _prepare_st_pairs(data, short)
+            direct = _st_table(data, short)
             for name in direct.__dataclass_fields__:
                 got, want = getattr(scan_pairs, name), getattr(direct, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -877,7 +986,7 @@ class TestFits:
                 value = _eval_st_loglik(scan_pairs, theta.smith, a, tau)[0]
                 assert value == pairwise_loglik(data, theta, short)
             # A table of at most two lags is scanned as it is.
-            lag_one = _prepare_st_pairs(data, PairWeights.cutoff(dates, coords, 1.0))
+            lag_one = _st_table(data, PairWeights.cutoff(dates, coords, 1.0))
             assert _short_lag_pairs(lag_one) is lag_one
 
     @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
@@ -908,7 +1017,7 @@ class TestFits:
             square_grid(4), 6, THETA0.smith, THETA0.markov, SeededStream(0)
         )
         init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
-        scan_pairs = _short_lag_pairs(_prepare_st_pairs(data, None))
+        scan_pairs = _short_lag_pairs(_st_table(data, None))
         ticks = np.linspace(-inference._SCAN_RADIUS, inference._SCAN_RADIUS, inference._SCAN_MESH)
         on_frame = [
             (t1, t2) for t1 in ticks for t2 in ticks

@@ -12,7 +12,11 @@ uniform sites on [0, 10]^2 over 20, 30 and 80 dates (records of the study
 recipe, seed 1), and a 30-date record under an elongated covariance.  They
 hash the values and the storms drawn per date.  The ``evals`` lines give
 the storm-entry evaluations of the same records: a faster storm fold may
-lower them without changing any value.
+lower them without changing any value.  ``fits`` hashes the ``FitReport``s
+of both schemes on six 4-site, 4-date records and two 6-site, 8-date
+records (study recipe, seed 1), with no cutoff, with ``max_time_lag=2``
+and with ``max_space_dist=5``, plus both log-likelihoods of one record under
+ten random ``PairWeights``.
 """
 
 from __future__ import annotations
@@ -97,6 +101,44 @@ def local(params: ms.SmithParams, n_dates: int, records: int) -> tuple[str, int]
     return h.hexdigest(), evals
 
 
+# (sites, dates, records) of the fitted records, and the cutoffs of each fit.
+FIT_RECORDS = ((4, 4, 6), (6, 8, 2))
+FIT_CUTOFFS = ({}, {"max_time_lag": 2.0}, {"max_space_dist": 5.0})
+
+
+def fits() -> str:
+    h = hashlib.sha256()
+    truth = ms.ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
+    init = ms.ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+    for n_sites, n_dates, records in FIT_RECORDS:
+        for i in range(records):
+            root = ms.SeededStream(1).child(i)
+            coords = root.child(0).generator().uniform(0.0, 10.0, size=(n_sites, 2))
+            f = ms.simulate_markov_planar(
+                ms.SiteSet.planar(coords), n_dates, truth.smith, truth.markov, root.child(1)
+            )
+            for cutoff in FIT_CUTOFFS:
+                opts = ms.FitOptions(max_evals=300, **cutoff)
+                for fit in (ms.fit_scheme1, ms.fit_scheme2):
+                    h.update(repr(fit(f, init, opts)).encode())
+    # The weighted log-likelihoods are of the last record.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        # Zeros drop pairs; the diagonal of temporal is random too.
+        temporal, spatial = (
+            rng.uniform(0.0, 2.0, (k, k)) * (rng.random((k, k)) < 0.8) for k in (n_dates, n_sites)
+        )
+        temporal[0, 1] = spatial[0, 1] = 1.0
+        weights = ms.PairWeights(temporal, spatial)
+        theta = ms.ThetaVector(
+            rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
+            rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+        )
+        h.update(np.float64(ms.pairwise_loglik(f, theta, weights)).tobytes())
+        h.update(np.float64(ms.spatial_pairwise_loglik(f, theta.smith, weights)).tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("simulators", simulators())
     print("field.csv", field_csv())
@@ -104,3 +146,4 @@ if __name__ == "__main__":
         digest, evals = local(params, n_dates, records)
         print(f"local {name}", digest)
         print(f"evals {name}", evals)
+    print("fits", fits())
