@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .config import (
@@ -37,10 +37,10 @@ from .errors import (
     ValidationError,
 )
 from .fieldio import read_field, write_field, write_meta
-from .inference import fit_scheme1, fit_scheme2
+from .inference import FitReport, ThetaVector, fit_scheme1, fit_scheme2
 from .point_process import SeededStream
 from .spacetime import simulate_markov_planar, simulate_markov_sphere
-from .study import run_study
+from .study import ReplicateRecord, StudySummaryRow, run_study
 
 __all__ = ["main"]
 
@@ -59,8 +59,30 @@ def _jsonable(obj):
     return obj
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    """A CSV cell: floats at full precision, everything else as ``str``."""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+# replicates.csv: the estimate's parameters, then the rest of its report.
+_THETA_COLUMNS = [f.name for f in fields(ThetaVector)]
+_REPORT_COLUMNS = [f.name for f in fields(FitReport) if f.name not in ("theta_hat", "scheme")]
+
+
+def _replicate_row(rec: ReplicateRecord) -> list:
+    if rec.report is None:
+        cells = [""] * (len(_THETA_COLUMNS) + len(_REPORT_COLUMNS))
+        return [rec.index, rec.scheme, *cells, rec.error or "failed"]
+    cells = [getattr(rec.report.theta_hat, n) for n in _THETA_COLUMNS]
+    cells += [getattr(rec.report, n) for n in _REPORT_COLUMNS]
+    return [rec.index, rec.scheme, *cells, ""]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -105,31 +127,19 @@ def cmd_dependence(args: argparse.Namespace) -> int:
         if field is not None:
             try:
                 est = empirical_madogram(field, lag, bin_radius=dep.bin_radius)
-                emp_nu = _fmt(est.nu_hat)
-                emp_theta = _fmt(madogram_to_theta(est.nu_hat))
-                n_pairs = str(est.n_pairs)
+                emp_nu = est.nu_hat
+                emp_theta = madogram_to_theta(est.nu_hat)
+                n_pairs = est.n_pairs
             except ValidationError as exc:
                 logger.warning(
                     "lag (%d, %s): no pairs in the field file: %s",
                     lag.time_lag, list(lag.space_lag), exc,
                 )
-        rows.append(
-            (
-                str(lag.time_lag),
-                _fmt(lag.space_lag[0]),
-                _fmt(lag.space_lag[1]),
-                _fmt(theta),
-                _fmt(nu),
-                emp_theta,
-                emp_nu,
-                n_pairs,
-            )
-        )
+        rows.append((lag.time_lag, *lag.space_lag, theta, nu, emp_theta, emp_nu, n_pairs))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = "l,h1,h2,theta_analytic,nu_analytic,theta_empirical,nu_empirical,n_pairs"
-    lines = [header] + [",".join(r) for r in rows]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(out, header.split(","), rows)
     print(f"wrote {out}")
     return 0
 
@@ -143,24 +153,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     report = fit(field, fc.init, fc.options)
     wall = time.perf_counter() - start
-    payload = {
-        "scheme": report.scheme,
-        "theta_hat": {
-            "sigma11": report.theta_hat.sigma11,
-            "sigma12": report.theta_hat.sigma12,
-            "sigma22": report.theta_hat.sigma22,
-            "a": report.theta_hat.a,
-            "tau1": report.theta_hat.tau1,
-            "tau2": report.theta_hat.tau2,
-        },
-        "loglik": report.loglik,
-        "n_pairs": report.n_pairs,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_meta(out, payload)
+    write_meta(out, asdict(report))
     note = "" if report.converged else " (not converged; best iterate reported)"
     print(f"wrote {out}: loglik {report.loglik:.6f} in {wall:.1f}s{note}")
     return 0
@@ -173,55 +168,10 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rep_path = out_dir / "replicates.csv"
-    with open(rep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "replicate", "scheme",
-                "sigma11", "sigma12", "sigma22", "a", "tau1", "tau2",
-                "loglik", "n_pairs", "iterations", "converged", "error",
-            ]
-        )
-        for rec in result.records:
-            if rec.report is None:
-                writer.writerow(
-                    [rec.index, rec.scheme] + [""] * 10 + [rec.error or "failed"]
-                )
-                continue
-            th = rec.report.theta_hat
-            writer.writerow(
-                [
-                    rec.index,
-                    rec.scheme,
-                    _fmt(th.sigma11), _fmt(th.sigma12), _fmt(th.sigma22),
-                    _fmt(th.a), _fmt(th.tau1), _fmt(th.tau2),
-                    _fmt(rec.report.loglik),
-                    rec.report.n_pairs,
-                    rec.report.iterations,
-                    rec.report.converged,
-                    "",
-                ]
-            )
-
+    header = ["replicate", "scheme", *_THETA_COLUMNS, *_REPORT_COLUMNS, "error"]
+    _write_csv(rep_path, header, map(_replicate_row, result.records))
     sum_path = out_dir / "summary.csv"
-    header = "scheme,parameter,true,mean_estimate,mean_bias,stdev,n_used,n_excluded"
-    lines = [header]
-    for row in result.summary:
-        lines.append(
-            ",".join(
-                [
-                    str(row.scheme),
-                    row.parameter,
-                    _fmt(row.true),
-                    _fmt(row.mean_estimate),
-                    _fmt(row.mean_bias),
-                    _fmt(row.stdev),
-                    str(row.n_used),
-                    str(row.n_excluded),
-                ]
-            )
-        )
-    sum_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(sum_path, [f.name for f in fields(StudySummaryRow)], map(astuple, result.summary))
     write_meta(
         out_dir / "study_meta.json",
         {"command": "mc-study", "config": _jsonable(sc.echo())},

@@ -10,7 +10,7 @@ each command reads the sections it needs and leaves the rest alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .dependence import LagSpec
@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .geometry import RotationSpec, SiteSet, fibonacci_sphere, square_grid
 from .inference import FitOptions, ThetaVector
 from .spacetime import MarkovParams
-from .spatial import SchlatherParams, SmithParams, VmfParams
+from .spatial import _SCHLATHER_STORMS, SchlatherParams, SmithParams, VmfParams
 
 __all__ = [
     "load_config",
@@ -31,6 +31,10 @@ __all__ = [
     "FitConfig",
     "StudyConfig",
 ]
+
+# The neutral start of every study fit, and of a [fit] without init_* keys:
+# identity storm covariance, a = 0.5 and no translation.
+_NEUTRAL_START = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
 
 # type codes: int, float, pair (two floats), triple (three floats),
 # lags (semicolon list of "l:h1,h2"), choice:...alternatives
@@ -198,19 +202,9 @@ class SimulateConfig:
             "sites.count": len(self.sites),
             "sites.kind": self.sites.kind,
         }
-        if isinstance(self.spatial, SmithParams):
-            d.update(
-                {
-                    "model.sigma11": self.spatial.sigma11,
-                    "model.sigma12": self.spatial.sigma12,
-                    "model.sigma22": self.spatial.sigma22,
-                }
-            )
-        elif isinstance(self.spatial, SchlatherParams):
-            d.update({"model.c1": self.spatial.c1, "model.c2": self.spatial.c2})
+        d.update({f"model.{k}": v for k, v in asdict(self.spatial).items()})
+        if isinstance(self.spatial, SchlatherParams):
             d["run.n_storms"] = self.n_storms
-        else:
-            d["model.kappa"] = self.spatial.kappa
         if self.markov.tau is not None:
             d["temporal.tau"] = list(self.markov.tau)
         if self.markov.rotation is not None:
@@ -281,7 +275,7 @@ def build_simulate_config(cfg: dict) -> SimulateConfig:
         sites=_build_sites(cfg, kind, seed),
         n_dates=_need(cfg, "run", "n_dates"),
         seed=seed,
-        n_storms=_get(cfg, "run", "n_storms", 1000),
+        n_storms=_get(cfg, "run", "n_storms", _SCHLATHER_STORMS),
     )
 
 
@@ -324,22 +318,12 @@ def build_fit_config(cfg: dict, scheme: int | None = None) -> FitConfig:
             )
     if scheme not in (1, 2):
         raise ValidationError(f"scheme must be 1 or 2, got {scheme}")
-    tau = _get(cfg, "fit", "init_tau", (0.0, 0.0))
-    init = ThetaVector(
-        _get(cfg, "fit", "init_sigma11", 1.0),
-        _get(cfg, "fit", "init_sigma12", 0.0),
-        _get(cfg, "fit", "init_sigma22", 1.0),
-        _get(cfg, "fit", "init_a", 0.5),
-        tau[0],
-        tau[1],
-    )
-    options = FitOptions(
-        xtol=_get(cfg, "fit", "xtol", 1e-6),
-        ftol=_get(cfg, "fit", "ftol", 1e-8),
-        max_evals=_get(cfg, "fit", "max_evals", 5000),
-        max_time_lag=_get(cfg, "fit", "max_time_lag", None),
-        max_space_dist=_get(cfg, "fit", "max_space_dist", None),
-    )
+    fit = cfg.get("fit", {})
+    start = {k[len("init_"):]: v for k, v in fit.items() if k.startswith("init_")}
+    if "tau" in start:
+        start["tau1"], start["tau2"] = start.pop("tau")
+    init = replace(_NEUTRAL_START, **start)
+    options = FitOptions(**{f.name: fit[f.name] for f in fields(FitOptions) if f.name in fit})
     return FitConfig(init=init, options=options, scheme=scheme)
 
 
@@ -356,22 +340,9 @@ class StudyConfig:
     max_evals: int
 
     def echo(self) -> dict:
-        return {
-            "study.low": self.low,
-            "study.high": self.high,
-            "study.max_evals": self.max_evals,
-            "study.n_dates": self.n_dates,
-            "study.n_sites": self.n_sites,
-            "study.replicates": self.replicates,
-            "study.scheme": self.scheme,
-            "study.seed": self.seed,
-            "truth.a": self.theta0.a,
-            "truth.sigma11": self.theta0.sigma11,
-            "truth.sigma12": self.theta0.sigma12,
-            "truth.sigma22": self.theta0.sigma22,
-            "truth.tau1": self.theta0.tau1,
-            "truth.tau2": self.theta0.tau2,
-        }
+        d = {f"study.{f.name}": getattr(self, f.name) for f in fields(self) if f.name != "theta0"}
+        d.update({f"truth.{k}": v for k, v in asdict(self.theta0).items()})
+        return d
 
 
 def build_study_config(cfg: dict, replicates: int | None = None) -> StudyConfig:
@@ -401,5 +372,5 @@ def build_study_config(cfg: dict, replicates: int | None = None) -> StudyConfig:
         scheme=_get(cfg, "study", "scheme", "1"),
         low=low,
         high=high,
-        max_evals=_get(cfg, "study", "max_evals", 5000),
+        max_evals=_get(cfg, "study", "max_evals", FitOptions.max_evals),
     )

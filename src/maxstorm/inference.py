@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -63,7 +63,7 @@ from scipy.special import ndtr
 
 from .errors import DegeneratePairError, NumericalError, ValidationError
 from .spacetime import MarkovParams, SpaceTimeField
-from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _quadratic_form, mahalanobis_distance
+from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _mahalanobis, mahalanobis_distance
 
 __all__ = [
     "ThetaVector",
@@ -117,9 +117,7 @@ class ThetaVector:
         return MarkovParams(self.a, tau=(self.tau1, self.tau2))
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.sigma11, self.sigma12, self.sigma22, self.a, self.tau1, self.tau2]
-        )
+        return np.array(astuple(self))
 
     @classmethod
     def from_array(cls, x: np.ndarray) -> "ThetaVector":
@@ -355,7 +353,7 @@ def _log_pair_density(
         # One candidate is indexed as a scalar, so its per-row arrays stay 1-d.
         at = c0 if per == 1 else (c, None)
         offsets = pairs.dx - pairs.lag[:, None] * tau[at]
-        h = np.sqrt(np.maximum(_quadratic_form(offsets, sigma_inv), 0.0))
+        h = _mahalanobis(offsets, sigma_inv)
         alag = a[at] ** pairs.lag
         degenerate = h < H_COMPLETE_DEP
         h[degenerate] = 1.0
@@ -513,7 +511,7 @@ def _theta_gradient(
     """
     offsets = pairs.dx - pairs.lag[:, None] * tau
     b = offsets @ sigma.sigma_inv
-    h = np.sqrt(np.maximum(_quadratic_form(offsets, sigma.sigma_inv), 0.0))
+    h = _mahalanobis(offsets, sigma.sigma_inv)
     g = np.divide(d_h, h, out=np.zeros_like(h), where=h >= H_COMPLETE_DEP)
     gb = g[:, None] * b
     return np.array([

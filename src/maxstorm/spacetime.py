@@ -33,6 +33,7 @@ from .spatial import (
     SchlatherParams,
     SmithParams,
     VmfParams,
+    _SCHLATHER_STORMS,
     _log_schlather_envelope,
     _schlather_values,
     _smith_exponent,
@@ -163,7 +164,7 @@ def _simulate_markov(
     spatial: SmithParams | SchlatherParams | VmfParams,
     markov: MarkovParams,
     stream: SeededStream,
-    n_storms: int,
+    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Run the recursion on the enlarged site set ``entry_coords``.
 
@@ -216,7 +217,7 @@ def simulate_markov_planar(
     markov: MarkovParams,
     stream: SeededStream,
     *,
-    n_storms: int = 1000,
+    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Simulate the planar max-autoregression on ``grid`` for ``n_dates`` dates.
 
@@ -270,7 +271,7 @@ def simulate_markov_sphere(
     entry_coords = _entry_coords_sphere(
         np.asarray(mesh.coords), n_dates, markov.rotation
     )
-    return _simulate_markov(mesh, entry_coords, n_dates, spatial, markov, stream, 1000)
+    return _simulate_markov(mesh, entry_coords, n_dates, spatial, markov, stream)
 
 
 def truncated_moving_max(
@@ -281,7 +282,7 @@ def truncated_moving_max(
     J: int,
     stream: SeededStream,
     *,
-    n_storms: int = 1000,
+    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Moving-maximum form of the stationary field, truncated at depth ``J``.
 

@@ -86,6 +86,8 @@ SCHLATHER_MAX_SITES = 4000
 # Stopping envelope of the unbounded Schlather spectral functions: a storm
 # whose Gaussian process exceeds it somewhere may be cut off too early.
 SCHLATHER_B_MAX = 4.0
+# Default storm cap of a Schlather draw.
+_SCHLATHER_STORMS = 1000
 # Quadrature tolerances of smith_exponent_numeric.
 _QUAD_EPSABS = 1e-9
 _QUAD_EPSREL = 1e-7
@@ -212,10 +214,14 @@ def gaussian_density_2d(x: np.ndarray, params: SmithParams) -> float | np.ndarra
     return float(out) if out.ndim == 0 else out
 
 
+def _mahalanobis(dx: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
+    """``sqrt(dx' Sigma^{-1} dx)`` over the last axis, rounding-safe at 0."""
+    return np.sqrt(np.maximum(_quadratic_form(dx, sigma_inv), 0.0))
+
+
 def mahalanobis_distance(dx: np.ndarray, params: SmithParams) -> float | np.ndarray:
     """``sqrt(dx' Sigma^{-1} dx)``, vectorized over ``(..., 2)`` input."""
-    q = _quadratic_form(np.asarray(dx, dtype=float), params.sigma_inv)
-    out = np.sqrt(np.maximum(q, 0.0))
+    out = _mahalanobis(np.asarray(dx, dtype=float), params.sigma_inv)
     return float(out) if out.ndim == 0 else out
 
 
@@ -514,7 +520,7 @@ def simulate_schlather(
     sites: SiteSet,
     params: SchlatherParams,
     stream: SeededStream,
-    n_storms: int = 1000,
+    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpatialField:
     """Approximate Schlather-model sample on a planar site set.
 

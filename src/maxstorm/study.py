@@ -2,10 +2,11 @@
 
 Each replicate draws its own site layout uniformly on the study square,
 simulates the planar Smith-innovation recursion at the true parameters,
-and fits from a neutral start (identity covariance, a=0.5, tau=0).  All
-randomness flows through per-replicate child streams of one root seed, so
-results are identical whatever the worker-thread count and the study is
-rerunnable replicate by replicate.
+and fits from the neutral start of a ``[fit]`` section without ``init_*``
+keys (identity covariance, a=0.5, tau=0).  All randomness flows through
+per-replicate child streams of one root seed, so results are identical
+whatever the worker-thread count and the study is rerunnable replicate by
+replicate.
 
 Replicates whose fit raises a :class:`~maxstorm.errors.MaxstormError` are
 recorded with the error text and excluded from the summary statistics; the
@@ -18,11 +19,11 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import StudyConfig
+from .config import _NEUTRAL_START, StudyConfig
 from .errors import MaxstormError
 from .geometry import SiteSet
 from .inference import FitOptions, FitReport, ThetaVector, fit_scheme1, fit_scheme2
@@ -38,9 +39,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_PARAM_NAMES = ("sigma11", "sigma12", "sigma22", "a", "tau1", "tau2")
-_NEUTRAL_INIT = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _one_replicate(
     for scheme in _schemes(config):
         fit = fit_scheme1 if scheme == 1 else fit_scheme2
         try:
-            report = fit(field, _NEUTRAL_INIT, options)
+            report = fit(field, _NEUTRAL_START, options)
             records.append(ReplicateRecord(index, scheme, report, None))
         except MaxstormError as exc:
             logger.warning("replicate %d scheme %d failed: %s", index, scheme, exc)
@@ -137,7 +135,7 @@ def _summarize(config: StudyConfig, records: list[ReplicateRecord]) -> list[Stud
             1 for r in records if r.scheme == scheme and r.report is None
         )
         estimates = np.array([r.theta_hat.as_array() for r in ok])
-        for p, name in enumerate(_PARAM_NAMES):
+        for p, param in enumerate(fields(ThetaVector)):
             if len(ok) == 0:
                 mean = bias = sd = float("nan")
             else:
@@ -148,7 +146,7 @@ def _summarize(config: StudyConfig, records: list[ReplicateRecord]) -> list[Stud
             rows.append(
                 StudySummaryRow(
                     scheme=scheme,
-                    parameter=name,
+                    parameter=param.name,
                     true=float(truth[p]),
                     mean_estimate=mean,
                     mean_bias=bias,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from maxstorm import extremal_coefficient, read_field, read_meta
+from maxstorm import NumericalError, extremal_coefficient, read_field, read_meta
 from maxstorm import study as study_module
 from maxstorm.cli import main
 from maxstorm.config import load_config
@@ -288,3 +288,44 @@ max_evals = 250
     assert all(r["error"] == "" for r in reps)
     meta = read_meta(out / "study_meta.json")
     assert meta["config"]["study.replicates"] == 2
+
+
+def test_mc_study_writes_a_failed_fit_as_a_full_width_row(tmp_path, monkeypatch):
+    # One thread, so the first scheme-2 fit to run is replicate 0's.
+    monkeypatch.setenv("MAXSTORM_THREADS", "1")
+    fit_scheme2 = study_module.fit_scheme2
+    calls = []
+
+    def fails_first(field, init, options):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericalError("objective is not finite")
+        return fit_scheme2(field, init, options)
+
+    monkeypatch.setattr(study_module, "fit_scheme2", fails_first)
+    ini = SIM_INI + """
+[study]
+replicates = 2
+scheme = both
+n_dates = 4
+n_sites = 4
+seed = 31
+max_evals = 100
+"""
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = tmp_path / "study"
+    assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "replicates.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert all(len(row) == len(header) for row in rows)
+    failed = [row for row in rows if row[header.index("error")]]
+    assert len(failed) == 1 and failed[0][:2] == ["0", "2"]
+    assert failed[0][2:-1] == [""] * (len(header) - 3)
+    assert failed[0][-1] == "objective is not finite"
+    assert all("" not in row[:-1] for row in rows if row is not failed[0])
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == 12
+    for row in summary:
+        assert (row["n_used"], row["n_excluded"]) == (("2", "0") if row["scheme"] == "1" else ("1", "1"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from maxstorm import ValidationError
+from maxstorm import FitOptions, ThetaVector, ValidationError
 from maxstorm.config import (
     build_dependence_config,
     build_fit_config,
@@ -136,6 +136,16 @@ init_a = 0.4
     assert build_fit_config(cfg).scheme == 1
     assert build_fit_config(cfg, scheme=2).scheme == 2
     assert build_fit_config(cfg).init.a == 0.4
+
+
+def test_fit_config_takes_unset_keys_from_the_neutral_start_and_fit_options(tmp_path):
+    fc = build_fit_config(load_config(_write(tmp_path, BASE)), scheme=2)
+    assert fc.init == ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+    assert fc.options == FitOptions()
+    text = BASE + "\n[fit]\nscheme = 1\ninit_sigma22 = 2.0\ninit_tau = -0.5, 0.25\nxtol = 1e-5\n"
+    fc = build_fit_config(load_config(_write(tmp_path, text)))
+    assert fc.init == ThetaVector(1.0, 0.0, 2.0, 0.5, -0.5, 0.25)
+    assert fc.options == FitOptions(xtol=1e-5)
 
 
 def test_fit_scheme_must_be_one_or_two(tmp_path):

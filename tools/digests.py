@@ -16,7 +16,11 @@ lower them without changing any value.  ``fits`` hashes the ``FitReport``s
 of both schemes on six 4-site, 4-date records and two 6-site, 8-date
 records (study recipe, seed 1), with no cutoff, with ``max_time_lag=2``
 and with ``max_space_dist=5``, plus both log-likelihoods of one record under
-ten random ``PairWeights``.
+ten random ``PairWeights``.  ``cli`` hashes the files the commands write:
+``field.csv`` and ``field_meta.json`` of a Smith, a Schlather and a vMF
+config, ``fit.json`` of both schemes, the ``dependence`` table, and
+``replicates.csv``, ``summary.csv`` and ``study_meta.json`` of a
+2-replicate study, once as it runs and once with every scheme-2 fit failing.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ import hashlib
 import io
 import pathlib
 import tempfile
+from unittest import mock
 
 import numpy as np
 
 import maxstorm as ms
+from maxstorm import study
 from maxstorm.cli import main
 
 INI = """[model]\nkind = smith\nsigma11 = 1.0\nsigma12 = 0.2\nsigma22 = 1.5
@@ -139,6 +145,65 @@ def fits() -> str:
     return h.hexdigest()
 
 
+# Configs of the ``cli`` digest: one per simulator, and a study.
+CLI_INIS = {
+    "smith": INI + "[fit]\nmax_evals = 300\nxtol = 1e-5\ninit_tau = -0.5, -0.5\n"
+    "[dependence]\nlags = 0:0,0 ; 1:-1,-1 ; 2:3,0.5 ; 40:0,0\nbin_radius = 2.5\n",
+    "schlather": """[model]\nkind = schlather\nc1 = 2.0\nc2 = 1.0
+[temporal]\na = 0.6\ntau = 0.5, -1
+[sites]\nlayout = grid\nn_side = 3\nspacing = 0.7
+[run]\nn_dates = 3\nseed = 17\nn_storms = 400
+""",
+    "vmf": """[model]\nkind = vmf\nkappa = 3.0
+[temporal]\na = 0.5\nrotation_angle = 0.4\nrotation_axis = 0.6, 0, 0.8
+[sites]\nlayout = fibonacci\nn_sites = 8
+[run]\nn_dates = 3\nseed = 5
+""",
+    "study": INI + "[study]\nreplicates = 2\nscheme = both\nn_dates = 4\nn_sites = 4\nseed = 3\nmax_evals = 200\n",
+}
+
+
+def cli() -> str:
+    h = hashlib.sha256()
+
+    def run(*argv: str) -> None:
+        # The CLI prints the temporary paths it wrote; keep them off the output.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0
+
+    def add(*paths: pathlib.Path) -> None:
+        for path in paths:
+            h.update(path.read_bytes())
+
+    def failing_fit(field, init, options):
+        raise ms.NumericalError("objective is not finite")
+
+    with tempfile.TemporaryDirectory() as d:
+        out = pathlib.Path(d)
+        for name, ini in CLI_INIS.items():
+            (out / f"{name}.ini").write_text(ini)
+        for name in ("smith", "schlather", "vmf"):
+            run("simulate", "--config", f"{d}/{name}.ini", "--out", f"{d}/{name}")
+            add(out / name / "field.csv", out / name / "field_meta.json")
+        for scheme in ("1", "2"):
+            run(
+                "fit", "--config", f"{d}/smith.ini", "--field", f"{d}/smith/field.csv",
+                "--scheme", scheme, "--out", f"{d}/fit{scheme}.json",
+            )
+            add(out / f"fit{scheme}.json")
+        run(
+            "dependence", "--config", f"{d}/smith.ini", "--field", f"{d}/smith/field.csv",
+            "--out", f"{d}/dependence.csv",
+        )
+        add(out / "dependence.csv")
+        run("mc-study", "--config", f"{d}/study.ini", "--out", f"{d}/study")
+        with mock.patch.object(study, "fit_scheme2", failing_fit):
+            run("mc-study", "--config", f"{d}/study.ini", "--out", f"{d}/failed")
+        for tag in ("study", "failed"):
+            add(*(out / tag / f for f in ("replicates.csv", "summary.csv", "study_meta.json")))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("simulators", simulators())
     print("field.csv", field_csv())
@@ -147,3 +212,4 @@ if __name__ == "__main__":
         print(f"local {name}", digest)
         print(f"evals {name}", evals)
     print("fits", fits())
+    print("cli", cli())
