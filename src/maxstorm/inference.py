@@ -768,6 +768,11 @@ class _PolishStop(Exception):
     """The polish reached its run's budget, or a point it cannot evaluate."""
 
 
+# The errors of a step the objective cannot evaluate.  ``math.exp`` in the
+# map back to a covariance raises OverflowError above 709.78.
+_REJECTED = (ValidationError, NumericalError, OverflowError)
+
+
 def _nelder_mead(
     objective: Callable[..., float | tuple[float, np.ndarray]],
     init: np.ndarray,
@@ -783,10 +788,12 @@ def _nelder_mead(
     the polish stops by L-BFGS-B's default rule.  The better point is kept,
     and ``success`` is the polish's.  A run that spends its budget in the
     simplex is not polished.  Every call, value or value and gradient, counts
-    once against ``opts.max_evals``, and the simplex reads a NaN value as
-    +inf.  A polish step the objective rejects (a covariance that rounds to
-    singular, a non-finite density) or scores as NaN or infinite ends the
-    polish without success.
+    once against ``opts.max_evals``.  The simplex reads a NaN value, and a
+    step the objective rejects (a covariance that rounds to singular, a
+    non-finite density, an overflowing map back from the free coordinates),
+    as +inf; an initial point the objective rejects raises.  A polish step
+    the objective rejects or scores as NaN or infinite ends the polish
+    without success.
     """
     evals = 0
 
@@ -796,12 +803,18 @@ def _nelder_mead(
         value = float(objective(u))
         return math.inf if math.isnan(value) else value
 
+    def step(u: np.ndarray) -> float:
+        try:
+            return g(u)
+        except _REJECTED:
+            return math.inf
+
     u = np.asarray(init, dtype=float)
     fun = g(u)
     if math.isinf(fun):
         raise ValidationError("objective is not finite at the initial point")
     simplex = np.vstack([u, u + np.diag(_SIMPLEX_STEP * np.maximum(1.0, np.abs(u)))])
-    run = minimize(g, u, method="Nelder-Mead", options={
+    run = minimize(step, u, method="Nelder-Mead", options={
         "initial_simplex": simplex,
         "xatol": opts.xtol,
         "fatol": opts.ftol,
@@ -821,7 +834,7 @@ def _nelder_mead(
             evals += 1
             try:
                 value, grad = objective(x, gradient=True)
-            except (ValidationError, NumericalError) as exc:
+            except _REJECTED as exc:
                 raise _PolishStop from exc
             value = float(value)
             # L-BFGS-B reads +inf as a step to back off from, and may then

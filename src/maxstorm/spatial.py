@@ -18,14 +18,14 @@ maxima, and the shape supremum that makes the stopping rule sound.
 
 Schlather and von Mises-Fisher storms are evaluated at every site.  A Smith
 storm window larger in area than six disks of the buffer radius ``r_buf``
-is instead binned into cells of side at most ``r_buf / 2``, and each storm is
-evaluated only at the sites within ``r_buf`` of its cell.  A storm farther
-from a site reaches it only through Gaussian mass outside that disk, at
-most ``EPS_TAIL / 4`` of its scale, inside the leak the window already
-allows.  Both evaluations consume the same draws, and their values differ
-only where a storm outside that disk would have set the maximum.  The local
-evaluation also skips the sites whose running maximum no later storm can
-raise, which changes no value.
+instead evaluates each storm only at the sites within ``r_buf`` of it, which
+a k-d tree over the sites finds.  A storm farther from a site reaches it
+only through Gaussian mass outside that disk, at most ``EPS_TAIL / 4`` of
+its scale, inside the leak the window already allows.  Both evaluations
+consume the same draws, and their values differ only where a storm outside
+that disk would have set the maximum.  The local evaluation also skips the
+sites whose running maximum no later storm can raise, which changes no
+value.
 
 Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
@@ -40,7 +40,6 @@ Sites enter as coordinate arrays, wrapped in a
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import warnings
@@ -50,6 +49,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 from scipy.linalg import solve_triangular
+from scipy.spatial import cKDTree
 from scipy.special import ndtr
 
 from .errors import NumericalError, ResourceError, ValidationError
@@ -282,71 +282,16 @@ def _fold_dense(values: np.ndarray, u: np.ndarray, shapes: np.ndarray) -> int:
 # the record length (each pair array is 512 KiB).
 _PAIR_CHUNK = 1 << 16
 # Windows larger than this many disks of radius r_buf go through local
-# evaluation.  Measured crossovers: about 4 disks for the shifted site copies
-# of a record with 80 or more entries, about 9 for 20 scattered entries, and
-# none below 16 disks for 4 entries, where the dense loop costs little.
+# evaluation.  Crossovers measured with the earlier cell-grid index: about 4
+# disks for the shifted site copies of a record with 80 or more entries,
+# about 9 for 20 scattered entries, and none below 16 disks for 4 entries,
+# where the dense loop costs little.  With the k-d tree, 3 disks made the
+# many-small benchmark's simulation 1.4x slower, so 6 stays.
 _LOCAL_AREA_DISKS = 6.0
-# Cells per axis of the candidate grid at most; wider windows (over about
-# 500 r_buf) get coarser cells, which keeps the CSR row pointers at 8 MiB.
-_MAX_CELLS_PER_AXIS = 1024
 # An entry at or above this multiple of a block's top bump ``u[0] * sup`` is
 # out of reach of every later storm; the margin covers rounding in the
 # quadratic form and in ``exp(-q / 2) <= 1``.
 _RETIRE_MARGIN = 1.0 + 1e-9
-
-
-class _CandidateLists:
-    """Entries within reach of each cell of a grid over the storm window.
-
-    Cells have side at most ``r_buf / 2`` (wider on windows too large for
-    ``_MAX_CELLS_PER_AXIS`` such cells).  Row ``c`` of the CSR arrays
-    (``indptr``, ``indices``) lists, in increasing order, every entry within
-    Euclidean distance ``r_buf`` of cell ``c``'s rectangle, so the row of a
-    storm's cell holds every entry within ``r_buf`` of the storm.  The lists
-    are built by binning the entries into cells and testing each entry
-    against the cells around its own.
-    """
-
-    def __init__(self, coords: np.ndarray, lo: np.ndarray, hi: np.ndarray, r_buf: float):
-        self.lo = lo
-        cells = np.minimum(np.ceil((hi - lo) / (0.5 * r_buf)), _MAX_CELLS_PER_AXIS)
-        self.shape = cells.astype(np.intp)
-        self.side = (hi - lo) / self.shape
-        home = self.cell_xy(coords)
-        gaps = []
-        for ax in (0, 1):
-            reach = int(math.ceil(r_buf / self.side[ax]))
-            near = home[:, ax, None] + np.arange(-reach, reach + 1)
-            edge = lo[ax] + near * self.side[ax]
-            x = coords[:, ax, None]
-            gap = np.maximum(np.maximum(edge - x, x - (edge + self.side[ax])), 0.0)
-            gap[(near < 0) | (near >= self.shape[ax])] = np.inf
-            gaps.append((near, gap))
-        (nx, gx), (ny, gy) = gaps
-        entry, ix, iy = np.nonzero(gx[:, :, None] ** 2 + gy[:, None, :] ** 2 <= r_buf * r_buf)
-        cell = nx[entry, ix] * self.shape[1] + ny[entry, iy]
-        self.indices = entry[np.argsort(cell, kind="stable")]
-        self.indptr = np.zeros(int(self.shape.prod()) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell, minlength=self.indptr.size - 1), out=self.indptr[1:])
-
-    def cell_xy(self, x: np.ndarray) -> np.ndarray:
-        """Cell coordinates of the points ``x`` (``(n, 2)``), clipped to the grid."""
-        return np.minimum(((x - self.lo) // self.side).astype(np.intp), self.shape - 1)
-
-    def rows(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR row start and length of each center's cell."""
-        xy = self.cell_xy(centers)
-        cell = xy[:, 0] * self.shape[1] + xy[:, 1]
-        start = self.indptr[cell]
-        return start, self.indptr[cell + 1] - start
-
-    def restrict(self, live: np.ndarray) -> _CandidateLists:
-        """The same grid, each list cut to the entries where ``live`` holds."""
-        keep = live[self.indices]
-        out = copy.copy(self)
-        out.indices = self.indices[keep]
-        out.indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
-        return out
 
 
 def _smith_values(
@@ -361,21 +306,24 @@ def _smith_values(
     the buffer radius ``r_buf``, so at most ``EPS_TAIL`` of any site's scale
     leaks.  Windows up to ``_LOCAL_AREA_DISKS`` disks of radius ``r_buf``
     evaluate every storm at every entry.  Larger windows evaluate each storm
-    only at the entries of its cell's candidate list (:class:`_CandidateLists`),
-    a superset of the entries within ``r_buf`` of it.  A storm farther away
-    could raise an entry only through Gaussian mass outside that disk, at
-    most ``exp(-r_buf**2 / (2 lambda_max)) = EPS_TAIL / 4`` of its scale,
-    which lies inside the leak the window already allows.  Both paths draw
-    the same storms and compute each evaluated pair identically.
+    only at the entries within Euclidean distance ``r_buf`` of it, found by
+    scipy's k-d tree.  A storm farther away could raise an entry only
+    through Gaussian mass outside that disk, at most
+    ``exp(-r_buf**2 / (2 lambda_max)) = EPS_TAIL / 4`` of its scale, which
+    lies inside the leak the window already allows.  Both paths draw the
+    same storms and compute each evaluated pair identically.
 
     The local path also retires entries.  At the start of each storm block
     an entry whose running value is at least ``u[0] * sup * _RETIRE_MARGIN``
-    leaves the candidate lists for the block.  This is exact: a bump is
+    is left out of the block's tree.  This is exact: a bump is
     ``u * sup * exp(-q / 2)`` with ``u <= u[0]`` from here on and
     ``exp(-q / 2) <= 1``, so it cannot exceed the value, and the margin
     covers rounding.  The storms drawn and the stopping rule do not depend
     on which entries are live, so every value is bit for bit the one that
-    evaluating every candidate pair gives, with fewer evaluations.
+    evaluating every pair within ``r_buf`` gives, with fewer evaluations.
+    A block that starts with every entry retired makes no evaluation, and
+    the stopping rule then fires.  The pairs are found and folded at most
+    ``_PAIR_CHUNK`` at a time (one storm at least).
 
     Returns the values, the storms drawn and the storm-entry evaluations
     made.
@@ -402,29 +350,24 @@ def _smith_values(
 
     def fold_local(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         centers = rng.uniform(lo, hi, size=(u.size, 2))
-        live = values < u[0] * norm * _RETIRE_MARGIN
-        lists = cells if live.all() else cells.restrict(live)
-        start, count = lists.rows(centers)
-        end = np.cumsum(count)
-        k = 0
-        while k < u.size:
-            # Storms k..stop-1 hold at most _PAIR_CHUNK pairs (at least one storm).
-            first = end[k] - count[k]
-            stop = max(int(np.searchsorted(end, first + _PAIR_CHUNK, side="right")), k + 1)
-            c = count[k:stop]
-            offset = np.repeat(start[k:stop] - (end[k:stop] - c - first), c)
-            entry = lists.indices[np.arange(offset.size) + offset]
-            # Offsets as (2, pairs) rows, so each component is contiguous.
-            dx = np.empty((2, entry.size))
-            for ax in (0, 1):
-                np.subtract(coords_t[ax][entry], np.repeat(centers[k:stop, ax], c), out=dx[ax])
-            np.maximum.at(values, entry, bumps(np.repeat(u[k:stop], c), dx.T))
-            k = stop
-        return int(end[-1])
+        live = np.flatnonzero(values < u[0] * norm * _RETIRE_MARGIN)
+        if live.size == 0:
+            return 0
+        tree = entries if live.size == n else cKDTree(coords[live])
+        # No storm reaches more than every live entry.
+        step = max(1, _PAIR_CHUNK // live.size)
+        evals = 0
+        for k in range(0, u.size, step):
+            pairs = cKDTree(centers[k : k + step]).sparse_distance_matrix(
+                tree, r_buf, output_type="ndarray"
+            )
+            storm, entry = k + pairs["i"], live[pairs["j"]]
+            np.maximum.at(values, entry, bumps(u[storm], coords[entry] - centers[storm]))
+            evals += entry.size
+        return evals
 
     if area > _LOCAL_AREA_DISKS * math.pi * r_buf * r_buf:
-        cells = _CandidateLists(coords, lo, hi, r_buf)
-        coords_t = np.ascontiguousarray(coords.T)
+        entries = cKDTree(coords)
         fold = fold_local
     else:
         fold = fold_dense

@@ -13,6 +13,7 @@ from maxstorm import (
     DegeneratePairError,
     FitOptions,
     MarkovParams,
+    NumericalError,
     PairWeights,
     SeededStream,
     SiteSet,
@@ -33,6 +34,7 @@ from maxstorm.inference import (
     _A,
     _SIGMA,
     _TAU,
+    _chol_to_sigma,
     _eval_spatial_loglik,
     _eval_st_loglik,
     _free_gradient,
@@ -866,6 +868,65 @@ class TestNelderMead:
         assert report.nfev == len(calls)
         np.testing.assert_array_equal(report.x, polished[0])
         assert report.fun == _bowl(polished[0])
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError, OverflowError])
+    def test_simplex_reads_a_rejected_step_as_infinite(self, error):
+        # The objective cannot be evaluated past x = 0.6; the run neither
+        # stops there nor lets the error escape, and every call is counted.
+        def holey(x):
+            if x[0] > 0.6:
+                raise error("step out of range")
+            return (x[0] - 0.5) ** 2
+
+        def holey_gradient(x):
+            return np.array([2.0 * (x[0] - 0.5)])
+
+        objective, calls = _recorded(_with_gradient(holey, holey_gradient))
+        report = _nelder_mead(objective, np.array([0.0]), FitOptions())
+        assert any(u[0] > 0.6 for _, u in calls)
+        assert abs(report.x[0] - 0.5) < 1e-4
+        assert report.nfev == len(calls)
+
+    @pytest.mark.parametrize("error", [ValidationError, NumericalError, OverflowError])
+    def test_rejected_initial_point_raises(self, error):
+        def rejecting(u, gradient=False):
+            raise error("initial point out of range")
+
+        with pytest.raises(error, match="initial point out of range"):
+            _nelder_mead(rejecting, np.array([0.0, 0.0]), FitOptions())
+
+    def test_polish_ends_at_an_overflowing_step(self):
+        # As a rejected covariance: the polish stops without success and
+        # keeps its best point.
+        polished = []
+
+        def objective(u, gradient=False):
+            if not gradient:
+                return _bowl(u)
+            if polished:
+                raise OverflowError("math range error")
+            polished.append(np.array(u))
+            return _bowl(u), _bowl_gradient(u) + 1.0
+
+        recording, calls = _recorded(objective)
+        report = _nelder_mead(recording, np.array([0.0, 0.0]), FitOptions())
+        assert not report.success
+        assert report.nfev == len(calls)
+        np.testing.assert_array_equal(report.x, polished[0])
+
+    def test_simplex_vertex_past_the_covariance_map_range(self):
+        # The log-Cholesky map back to a covariance overflows above
+        # u[0] = 709.78; the first simplex vertex from u[0] = 600 is at 750.
+        with pytest.raises(OverflowError):
+            _chol_to_sigma(np.array([750.0, 0.0, 0.0]))
+
+        def objective(u, gradient=False):
+            _chol_to_sigma(u)
+            value = (u[0] - 650.0) ** 2 + u[1] ** 2 + u[2] ** 2
+            return (value, 2.0 * (u - [650.0, 0.0, 0.0])) if gradient else value
+
+        report = _nelder_mead(objective, np.array([600.0, 0.0, 0.0]), FitOptions(max_evals=2000))
+        np.testing.assert_allclose(report.x, [650.0, 0.0, 0.0], atol=1e-3)
 
     def test_polish_ends_at_a_non_finite_value(self):
         # The minimum sits on the edge of the region where the objective is

@@ -1,5 +1,7 @@
 """Spatial innovation models: storm shapes, simulators, exponent functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -27,8 +29,7 @@ from maxstorm import (
 from maxstorm.point_process import STORM_CAP
 from maxstorm.spatial import (
     _LOCAL_AREA_DISKS,
-    _PAIR_CHUNK,
-    _CandidateLists,
+    _RETIRE_MARGIN,
     _quadratic_form,
     _smith_values,
     _storm_maxima,
@@ -150,39 +151,32 @@ def _dense_smith_reference(coords, params, rng):
         block = min(2 * block, 65536)
 
 
-def _every_pair_local_reference(coords, params, rng):
-    """The local storm fold with no entry retired, driven by the storm loop.
+def _every_pair_local_reference(coords, params, rng, retire=False):
+    """The local storm fold by brute force, driven by the storm loop.
 
-    Every storm is evaluated at every entry of its cell's candidate list,
-    whatever the entry's running value.  Returns the values, the storms
-    drawn and the storm-entry evaluations.
+    Every storm is evaluated at every entry within Euclidean distance
+    ``r_buf`` of it, whatever the entry's running value.  With ``retire``,
+    only at those of the entries below the block's top bump as well, as the
+    simulator's fold does.  Returns the values, the storms drawn and the
+    storm-entry evaluations.
     """
     r_buf = params.buffer_radius()
     lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
     area = float(np.prod(hi - lo))
     assert area > _LOCAL_AREA_DISKS * np.pi * r_buf * r_buf, "layout is on the dense path"
     si, norm = params.sigma_inv, params.density_bound
-    cells = _CandidateLists(coords, lo, hi, r_buf)
-    coords_t = np.ascontiguousarray(coords.T)
 
     def fold(rng, u, values):
         centers = rng.uniform(lo, hi, size=(u.size, 2))
-        start, count = cells.rows(centers)
-        end = np.cumsum(count)
-        k = 0
-        while k < u.size:
-            first = end[k] - count[k]
-            stop = max(int(np.searchsorted(end, first + _PAIR_CHUNK, side="right")), k + 1)
-            c = count[k:stop]
-            offset = np.repeat(start[k:stop] - (end[k:stop] - c - first), c)
-            entry = cells.indices[np.arange(offset.size) + offset]
-            dx = np.empty((2, entry.size))
-            for ax in (0, 1):
-                np.subtract(coords_t[ax][entry], np.repeat(centers[k:stop, ax], c), out=dx[ax])
-            bumps = np.repeat(u[k:stop], c) * (norm * np.exp(-0.5 * _quadratic_form(dx.T, si)))
+        live = values < u[0] * norm * _RETIRE_MARGIN if retire else True
+        evals = 0
+        for k in range(0, u.size, 256):
+            dx = coords[None, :, :] - centers[k : k + 256, None, :]
+            storm, entry = np.nonzero(((dx ** 2).sum(axis=-1) <= r_buf * r_buf) & live)
+            bumps = u[k + storm] * (norm * np.exp(-0.5 * _quadratic_form(dx[storm, entry], si)))
             np.maximum.at(values, entry, bumps)
-            k = stop
-        return int(end[-1])
+            evals += entry.size
+        return evals
 
     values, n_storms, stopped, _, evals = _storm_maxima(
         rng, coords.shape[0], fold, area, norm, STORM_CAP
@@ -213,10 +207,15 @@ class _ScriptedGenerator:
         return self._centers
 
 
-# A window about 640 buffer radii wide: its grid is capped at 1,024 cells
-# along x, so each cell is wider than r_buf / 2.
-_CAPPED_LINE = np.column_stack([np.linspace(0.0, 500.0, 40), np.tile([0.0, 1.0], 20)])
-_CAPPED_PARAMS = SmithParams(0.01, 0.0, 0.02)
+# A line about 640 buffer radii long and one high: most storms reach no
+# entry, and each reaches at most a few.
+_LONG_LINE = np.column_stack([np.linspace(0.0, 500.0, 40), np.tile([0.0, 1.0], 20)])
+_LONG_LINE_PARAMS = SmithParams(0.01, 0.0, 0.02)
+# 3,000 entries in a unit square and one far away, under unit storms: most
+# storms near the cluster reach every entry of it.
+_CLUSTERED = np.concatenate(
+    [np.random.default_rng(6).uniform(0, 1, size=(3000, 2)), [[100.0, 0.0]]]
+)
 
 
 class TestLocalEvaluation:
@@ -248,7 +247,7 @@ class TestLocalEvaluation:
             (_shifted_copies(20, 30, (1.0, -0.5)), SmithParams(4.0, 1.9, 1.0)),
             (_shifted_copies(5, 40, (2.0, 0.0), seed=3), SmithParams(0.5, -0.2, 0.3)),
             (np.array([[0.0, 0.0], [60.0, 0.0], [0.0, 45.0]]), SmithParams(1.0, 0.0, 1.0)),
-            (_CAPPED_LINE, _CAPPED_PARAMS),
+            (_LONG_LINE, _LONG_LINE_PARAMS),
         ],
         ids=["record 20x30", "20x30 correlated", "20x30 elongated", "5x40", "three far sites", "cell cap"],
     )
@@ -287,47 +286,66 @@ class TestLocalEvaluation:
         assert values[0] > 0.999 * values[1]
         assert (n_evals, ref_evals) == (3, 4)
 
-    def test_cell_cap_layout_is_capped(self):
-        r_buf = _CAPPED_PARAMS.buffer_radius()
-        lo, hi = _CAPPED_LINE.min(axis=0) - r_buf, _CAPPED_LINE.max(axis=0) + r_buf
-        assert _CandidateLists(_CAPPED_LINE, lo, hi, r_buf).shape[0] == 1024
+    def test_block_with_every_entry_retired_makes_no_evaluation(self):
+        # Scripted storms.  The last two storms of block 1 land on the two
+        # entries, so the running minimum is the block's last bump and the
+        # loop goes on.  Block 2's top bump is a hair lower, which retires
+        # both entries: its storms, all on entry 0, are never evaluated, and
+        # the stopping rule fires at its end.
+        coords = np.array([[0.0, 0.0], [60.0, 0.0]])
+        first = np.tile([30.0, 0.0], (64, 1))
+        first[62:] = coords
+        second = np.tile(coords[0], (128, 1))
+        blocks = [(np.r_[1.0, np.full(63, 1e-9)], first), (np.full(128, 1e-6), second)]
+        params = SmithParams(1.0, 0.0, 1.0)
+        values, n_storms, n_evals = _smith_values(
+            coords, params, _ScriptedGenerator(blocks), STORM_CAP
+        )
+        assert (n_storms, n_evals) == (192, 2)
+        ref_values, _, ref_evals = _every_pair_local_reference(
+            coords, params, _ScriptedGenerator(blocks)
+        )
+        np.testing.assert_array_equal(values, ref_values)
+        assert ref_evals == 130
 
-    def test_candidate_lists_hold_exactly_the_entries_in_reach(self):
-        # A cell's list is every entry within r_buf of the cell's rectangle,
-        # so it covers the r_buf disk around any storm center in the cell.
-        rng = np.random.default_rng(4)
-        coords = np.concatenate([rng.uniform(0, 10, size=(20, 2)) + lag for lag in range(12)])
-        r_buf = 5.5
-        lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
-        cells = _CandidateLists(coords, lo, hi, r_buf)
-        assert np.all(cells.side <= 0.5 * r_buf)
-        for cell in range(cells.indptr.size - 1):
-            ix, iy = divmod(cell, cells.shape[1])
-            corner = lo + np.array([ix, iy]) * cells.side
-            gap = np.maximum(np.maximum(corner - coords, coords - corner - cells.side), 0.0)
-            in_reach = np.flatnonzero(np.hypot(gap[:, 0], gap[:, 1]) <= r_buf)
-            listed = cells.indices[cells.indptr[cell] : cells.indptr[cell + 1]]
-            np.testing.assert_array_equal(np.sort(listed), in_reach)
-        centers = rng.uniform(lo, hi, size=(500, 2))
-        start, count = cells.rows(centers)
-        for c, s, n in zip(centers, start, count):
-            near = np.flatnonzero(np.hypot(*(coords - c).T) <= r_buf)
-            assert np.isin(near, cells.indices[s : s + n]).all()
+    @pytest.mark.parametrize(
+        "coords, params",
+        [
+            (_shifted_copies(20, 12, (1.0, 1.0), seed=4), SmithParams(1.0, 0.0, 1.0)),
+            (_LONG_LINE, _LONG_LINE_PARAMS),
+            (_CLUSTERED, SmithParams(1.0, 0.0, 1.0)),
+        ],
+        ids=["20x12", "long line", "clustered"],
+    )
+    def test_evaluations_are_the_live_pairs_within_reach(self, coords, params):
+        values, n_storms, n_evals = _smith_values(
+            coords, params, SeededStream(8).generator(), STORM_CAP
+        )
+        ref_values, ref_storms, ref_evals = _every_pair_local_reference(
+            coords, params, SeededStream(8).generator(), retire=True
+        )
+        assert n_storms == ref_storms
+        np.testing.assert_array_equal(values, ref_values)
+        assert n_evals == ref_evals
 
-    def test_wide_window_gets_coarser_cells_that_still_cover_reach(self, smith_identity):
-        # A window thousands of buffer radii wide caps the grid instead of
-        # allocating a row pointer per r_buf/2 cell.
+    def test_clustered_layout_keeps_pair_batches_small(self):
+        # Each batch of pairs is bounded by _PAIR_CHUNK, however many
+        # entries one storm reaches.
+        tracemalloc.start()
+        try:
+            _smith_values(
+                _CLUSTERED, SmithParams(1.0, 0.0, 1.0), SeededStream(8).generator(), STORM_CAP
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_window_a_million_wide_exceeds_the_storm_cap(self, smith_identity):
+        # Storms spread over the whole window; the cap stops the draw before
+        # the far entry is reached, and the call fails cleanly.
         rng = np.random.default_rng(5)
         coords = np.concatenate([rng.uniform(0, 3, size=(30, 2)), [[1e6, 1e6]]])
-        r_buf = 5.5
-        lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
-        cells = _CandidateLists(coords, lo, hi, r_buf)
-        assert np.all(cells.shape <= 1024) and np.all(cells.side > 0.5 * r_buf)
-        centers = np.concatenate([rng.uniform(-6, 9, size=(300, 2)), 1e6 + rng.uniform(-6, 6, size=(50, 2))])
-        start, count = cells.rows(centers)
-        for c, s, n in zip(centers, start, count):
-            near = np.flatnonzero(np.hypot(*(coords - c).T) <= r_buf)
-            assert np.isin(near, cells.indices[s : s + n]).all()
         with pytest.raises(ResourceError):
             simulate_smith(SiteSet.planar(coords), smith_identity, SeededStream(3), cap=64)
 

@@ -10,9 +10,12 @@ log-likelihoods; ``field.csv`` is the file ``maxstorm simulate`` writes.
 The ``local`` lines cover Smith recursions on the local storm path: 20
 uniform sites on [0, 10]^2 over 20, 30 and 80 dates (records of the study
 recipe, seed 1), and a 30-date record under an elongated covariance.  They
-hash the values and the storms drawn per date.  The ``evals`` lines give
-the storm-entry evaluations of the same records: a faster storm fold may
-lower them without changing any value.  ``fits`` hashes the ``FitReport``s
+hash the values and the storms drawn per date.  Two more ``local`` lines
+hash single Smith fields on wide windows, seeds 0-49: a line of 40 sites
+about 640 buffer radii long, and 3,000 sites in the unit square with one
+at (100, 0).  The ``evals`` lines give the storm-entry evaluations of the
+same records and fields: a faster storm fold may lower them without
+changing any value.  ``fits`` hashes the ``FitReport``s
 of both schemes on six 4-site, 4-date records and two 6-site, 8-date
 records (study recipe, seed 1), with no cutoff, with ``max_time_lag=2``
 and with ``max_space_dist=5``, plus both log-likelihoods of one record under
@@ -50,6 +53,20 @@ LOCAL = (
     ("20x30", ms.SmithParams(1.0, 0.0, 1.0), 30, 2),
     ("20x80", ms.SmithParams(1.0, 0.0, 1.0), 80, 1),
     ("20x30 elongated", ms.SmithParams(4.0, 1.9, 1.0), 30, 1),
+)
+
+# (name, sites, storm covariance) of the local-path single fields.
+LOCAL_FIELDS = (
+    (
+        "line",
+        np.column_stack([np.linspace(0.0, 500.0, 40), np.tile([0.0, 1.0], 20)]),
+        ms.SmithParams(0.01, 0.0, 0.02),
+    ),
+    (
+        "clustered",
+        np.concatenate([np.random.default_rng(6).uniform(0, 1, size=(3000, 2)), [[100.0, 0.0]]]),
+        ms.SmithParams(1.0, 0.0, 1.0),
+    ),
 )
 
 
@@ -104,6 +121,17 @@ def local(params: ms.SmithParams, n_dates: int, records: int) -> tuple[str, int]
         h.update(np.ascontiguousarray(f.values).tobytes())
         h.update(np.asarray(f.meta["n_storms_per_date"], dtype=np.int64).tobytes())
         evals += sum(f.meta["n_storm_evals_per_date"])
+    return h.hexdigest(), evals
+
+
+def local_field(coords: np.ndarray, params: ms.SmithParams) -> tuple[str, int]:
+    h = hashlib.sha256()
+    evals = 0
+    for seed in range(50):
+        f = ms.simulate_smith(ms.SiteSet.planar(coords), params, ms.SeededStream(seed))
+        h.update(f.values.tobytes())
+        h.update(np.int64(f.meta["n_storms"]).tobytes())
+        evals += f.meta["n_storm_evals"]
     return h.hexdigest(), evals
 
 
@@ -209,6 +237,10 @@ if __name__ == "__main__":
     print("field.csv", field_csv())
     for name, params, n_dates, records in LOCAL:
         digest, evals = local(params, n_dates, records)
+        print(f"local {name}", digest)
+        print(f"evals {name}", evals)
+    for name, coords, params in LOCAL_FIELDS:
+        digest, evals = local_field(coords, params)
         print(f"local {name}", digest)
         print(f"evals {name}", evals)
     print("fits", fits())
