@@ -250,6 +250,8 @@ def _build_sites(cfg: dict, kind: str, seed: int) -> SiteSet:
         if not high > low:
             raise ValidationError(f"[sites] high must exceed low, got {low}, {high}")
         n = _need(cfg, "sites", "n_sites")
+        if n < 1:
+            raise ValidationError(f"[sites] n_sites must be >= 1, got {n}")
         rng = SeededStream(seed, stream_id=2**31).generator()
         return SiteSet.planar(rng.uniform(low, high, size=(n, 2)))
     raise ValidationError("planar models need [sites] layout = grid or uniform")
@@ -363,10 +365,16 @@ def build_study_config(cfg: dict, replicates: int | None = None) -> StudyConfig:
     high = _get(cfg, "study", "high", 10.0)
     if not high > low:
         raise ValidationError(f"[study] high must exceed low, got {low}, {high}")
+    # A pairwise fit needs two dates and two sites.
+    n_dates, n_sites = _need(cfg, "study", "n_dates"), _need(cfg, "study", "n_sites")
+    if n_dates < 2 or n_sites < 2:
+        raise ValidationError(
+            f"[study] n_dates and n_sites must be >= 2, got {n_dates}, {n_sites}"
+        )
     return StudyConfig(
         theta0=theta0,
-        n_dates=_need(cfg, "study", "n_dates"),
-        n_sites=_need(cfg, "study", "n_sites"),
+        n_dates=n_dates,
+        n_sites=n_sites,
         seed=_need(cfg, "study", "seed"),
         replicates=replicates,
         scheme=_get(cfg, "study", "scheme", "1"),

@@ -16,16 +16,15 @@ All three are one spectral construction: the pointwise maximum of
 per-block fold that draws its storms and folds them into the running
 maxima, and the shape supremum that makes the stopping rule sound.
 
-Schlather and von Mises-Fisher storms are evaluated at every site.  A Smith
-storm window larger in area than six disks of the buffer radius ``r_buf``
-instead evaluates each storm only at the sites within ``r_buf`` of it, which
-a k-d tree over the sites finds.  A storm farther from a site reaches it
-only through Gaussian mass outside that disk, at most ``EPS_TAIL / 4`` of
-its scale, inside the leak the window already allows.  Both evaluations
-consume the same draws, and their values differ only where a storm outside
-that disk would have set the maximum.  The local evaluation also skips the
-sites whose running maximum no later storm can raise, which changes no
-value.
+Schlather and von Mises-Fisher storms are evaluated at every site.  Smith
+storms skip the sites whose running maximum no later storm can raise, which
+changes no value.  A Smith storm window larger in area than six disks of
+the buffer radius ``r_buf`` also evaluates each storm only at the sites
+within ``r_buf`` of it, which a k-d tree over the sites finds.  A storm
+farther from a site reaches it only through Gaussian mass outside that
+disk, at most ``EPS_TAIL / 4`` of its scale, inside the leak the window
+already allows.  Both evaluations consume the same draws, and their values
+differ only where a storm outside that disk would have set the maximum.
 
 Every simulator consumes a :class:`~maxstorm.point_process.SeededStream` and
 is a pure function of it; margins are standard Frechet on the exact paths
@@ -239,10 +238,10 @@ def _storm_maxima(
     Intensities ``U_i = area / P_i`` are drawn in doubling blocks, each
     block's exponentials first; ``fold(rng, u, values)`` then draws the
     block's storms and folds ``u * shape`` into ``values`` in place,
-    returning how many storm-entry evaluations it made.  A dense model
-    evaluates every storm at every entry (:func:`_fold_dense`); the Smith
-    model may instead evaluate each storm only at the entries within its
-    reach, and only at entries below the block's top bump ``u[0] * sup``.
+    returning how many storm-entry evaluations it made.  The Schlather and
+    sphere models evaluate every storm at every entry (:func:`_fold_dense`);
+    the Smith model evaluates storms only at the entries below the block's
+    top bump ``u[0] * sup``, and on a wide window only within their reach.
     Since the intensities decrease, no storm of the block or of a later one
     can raise an entry at or above that bump; once ``U_last * sup`` falls
     below the running minimum over entries, that holds for every entry and
@@ -282,11 +281,11 @@ def _fold_dense(values: np.ndarray, u: np.ndarray, shapes: np.ndarray) -> int:
 # the record length (each pair array is 512 KiB).
 _PAIR_CHUNK = 1 << 16
 # Windows larger than this many disks of radius r_buf go through local
-# evaluation.  Crossovers measured with the earlier cell-grid index: about 4
-# disks for the shifted site copies of a record with 80 or more entries,
-# about 9 for 20 scattered entries, and none below 16 disks for 4 entries,
-# where the dense loop costs little.  With the k-d tree, 3 disks made the
-# many-small benchmark's simulation 1.4x slower, so 6 stays.
+# evaluation.  With entries retired on both paths, timed on records of the
+# study recipe: every window dense made 20 x 30 records 2.4x slower, and
+# every window local made 4 x 4 records 1.7x slower.  3 disks made 4 x 4
+# records 1.6x slower (an elongated-Sigma 20 x 30 record 0.76x), and 12
+# disks made 20 x 20 records 1.1x slower, so 6 stays.
 _LOCAL_AREA_DISKS = 6.0
 # An entry at or above this multiple of a block's top bump ``u[0] * sup`` is
 # out of reach of every later storm; the margin covers rounding in the
@@ -313,17 +312,18 @@ def _smith_values(
     lies inside the leak the window already allows.  Both paths draw the
     same storms and compute each evaluated pair identically.
 
-    The local path also retires entries.  At the start of each storm block
-    an entry whose running value is at least ``u[0] * sup * _RETIRE_MARGIN``
-    is left out of the block's tree.  This is exact: a bump is
+    Both paths retire entries.  At the start of each storm block an entry
+    whose running value is at least ``u[0] * sup * _RETIRE_MARGIN`` is left
+    out of the block's evaluations.  This is exact: a bump is
     ``u * sup * exp(-q / 2)`` with ``u <= u[0]`` from here on and
     ``exp(-q / 2) <= 1``, so it cannot exceed the value, and the margin
     covers rounding.  The storms drawn and the stopping rule do not depend
     on which entries are live, so every value is bit for bit the one that
-    evaluating every pair within ``r_buf`` gives, with fewer evaluations.
-    A block that starts with every entry retired makes no evaluation, and
-    the stopping rule then fires.  The pairs are found and folded at most
-    ``_PAIR_CHUNK`` at a time (one storm at least).
+    evaluating every pair (within ``r_buf`` on the local path) gives, with
+    fewer evaluations.  A block that starts with every entry retired makes
+    no evaluation, and the stopping rule then fires.  Either path takes a
+    block's storms ``_PAIR_CHUNK // n_live`` at a time (one at least), so a
+    batch holds at most ``_PAIR_CHUNK`` storm-entry pairs.
 
     Returns the values, the storms drawn and the storm-entry evaluations
     made.
@@ -339,38 +339,31 @@ def _smith_values(
     def bumps(u: np.ndarray, dx: np.ndarray) -> np.ndarray:
         return u * (norm * np.exp(-0.5 * _quadratic_form(dx, si)))
 
-    def fold_dense(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
-        centers = rng.uniform(lo, hi, size=(u.size, 2))
-        step = max(1, _PAIR_CHUNK // n)
-        for k in range(0, u.size, step):
-            c = centers[k : k + step]
-            block = bumps(u[k : k + step, None], coords[None, :, :] - c[:, None, :])
-            np.maximum(values, block.max(axis=0), out=values)
-        return u.size * n
+    local = area > _LOCAL_AREA_DISKS * math.pi * r_buf * r_buf
 
-    def fold_local(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
+    def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         centers = rng.uniform(lo, hi, size=(u.size, 2))
         live = np.flatnonzero(values < u[0] * norm * _RETIRE_MARGIN)
         if live.size == 0:
             return 0
-        tree = entries if live.size == n else cKDTree(coords[live])
         # No storm reaches more than every live entry.
         step = max(1, _PAIR_CHUNK // live.size)
+        sites = coords[live]
+        tree = cKDTree(sites) if local else None
         evals = 0
         for k in range(0, u.size, step):
-            pairs = cKDTree(centers[k : k + step]).sparse_distance_matrix(
-                tree, r_buf, output_type="ndarray"
-            )
-            storm, entry = k + pairs["i"], live[pairs["j"]]
-            np.maximum.at(values, entry, bumps(u[storm], coords[entry] - centers[storm]))
-            evals += entry.size
+            c = centers[k : k + step]
+            if local:
+                pairs = cKDTree(c).sparse_distance_matrix(tree, r_buf, output_type="ndarray")
+                storm, entry = k + pairs["i"], live[pairs["j"]]
+                np.maximum.at(values, entry, bumps(u[storm], coords[entry] - centers[storm]))
+                evals += entry.size
+            else:
+                block = bumps(u[k : k + step, None], sites[None, :, :] - c[:, None, :])
+                values[live] = np.maximum(values[live], block.max(axis=0))
+                evals += block.size
         return evals
 
-    if area > _LOCAL_AREA_DISKS * math.pi * r_buf * r_buf:
-        entries = cKDTree(coords)
-        fold = fold_local
-    else:
-        fold = fold_dense
     values, n_storms, stopped, _, evals = _storm_maxima(rng, n, fold, area, norm, cap)
     if not stopped:
         raise ResourceError(

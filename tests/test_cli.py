@@ -259,6 +259,39 @@ max_evals = 0
     assert not out.exists()
 
 
+def test_simulate_negative_site_count_exits_with_validation_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(
+        SIM_INI.replace("layout = grid\nn_side = 4", "layout = uniform\nn_sites = -3"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "n_sites must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_dates, n_sites", [(6, -3), (6, 1), (1, 6)], ids=["negative sites", "one site", "one date"]
+)
+def test_mc_study_without_pairs_fails_before_any_replicate(tmp_path, monkeypatch, n_dates, n_sites):
+    ran = []
+    monkeypatch.setattr(study_module, "_one_replicate", lambda *args: ran.append(args) or [])
+    ini = SIM_INI + f"""
+[study]
+replicates = 2
+n_dates = {n_dates}
+n_sites = {n_sites}
+seed = 31
+"""
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = tmp_path / "study"
+    assert main(["mc-study", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ran == []
+    assert not out.exists()
+
+
 def test_bad_config_exits_with_validation_code(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(SIM_INI.replace("kind = smith", "kind = smith\nshape = round"), encoding="utf-8")

@@ -170,6 +170,24 @@ seed = 7
         build_study_config(load_config(_write(tmp_path, text)), replicates=1)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n_sites", 1), ("n_sites", -3), ("n_dates", 1), ("n_dates", 0)]
+)
+def test_study_needs_two_dates_and_two_sites(tmp_path, key, value):
+    # A pairwise fit of one site or one date has no pairs to sum over.
+    text = BASE + "\n[study]\nreplicates = 3\nn_dates = 5\nn_sites = 5\nseed = 7\n"
+    text = text.replace(f"{key} = 5", f"{key} = {value}")
+    with pytest.raises(ValidationError, match=r"n_dates and n_sites must be >= 2"):
+        build_study_config(load_config(_write(tmp_path, text)))
+
+
+@pytest.mark.parametrize("n_sites", [0, -3])
+def test_uniform_layout_needs_a_site(tmp_path, n_sites):
+    text = BASE.replace("layout = grid\nn_side = 3", f"layout = uniform\nn_sites = {n_sites}")
+    with pytest.raises(ValidationError, match=r"\[sites\] n_sites must be >= 1"):
+        build_simulate_config(load_config(_write(tmp_path, text)))
+
+
 def test_study_requires_smith_model(tmp_path):
     text = """
 [model]

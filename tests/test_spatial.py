@@ -119,23 +119,27 @@ class TestSimulateSmith:
             simulate_smith(sites, smith_identity, SeededStream(3), cap=64)
 
 
-def _dense_smith_reference(coords, params, rng):
+def _dense_smith_reference(coords, params, rng, retire=False):
     """The storm loop with every storm evaluated at every entry.
 
     Same draws as the simulator: per doubling block the exponentials, then
-    the centers; the stopping rule is checked at block ends.
+    the centers; the stopping rule is checked at block ends.  Returns the
+    values, the storms drawn and the storm-entry evaluations: every pair,
+    or with ``retire`` only the pairs at entries below the block's top
+    bump, which the simulator's fold evaluates.
     """
     r_buf = params.buffer_radius()
     lo, hi = coords.min(axis=0) - r_buf, coords.max(axis=0) + r_buf
     area = float(np.prod(hi - lo))
     si, norm = params.sigma_inv, params.density_bound
     values = np.zeros(coords.shape[0])
-    p_last, used, block = 0.0, 0, 64
+    p_last, used, evals, block = 0.0, 0, 0, 64
     while True:
         p = p_last + np.cumsum(rng.exponential(size=block))
         p_last = float(p[-1])
         u = area / p
         centers = rng.uniform(lo, hi, size=(block, 2))
+        n_live = np.sum(values < u[0] * norm * _RETIRE_MARGIN) if retire else values.size
         for k in range(0, block, 256):
             dx = coords[None, :, :] - centers[k : k + 256, None, :]
             q = (
@@ -146,8 +150,9 @@ def _dense_smith_reference(coords, params, rng):
             bumps = u[k : k + 256, None] * (norm * np.exp(-0.5 * q))
             np.maximum(values, bumps.max(axis=0), out=values)
         used += block
+        evals += block * n_live
         if u[-1] * norm < values.min():
-            return values, used
+            return values, used, evals
         block = min(2 * block, 65536)
 
 
@@ -222,22 +227,31 @@ class TestLocalEvaluation:
     """Local and dense storm evaluation reproduce the dense loop exactly."""
 
     @pytest.mark.parametrize(
-        "n_sites, n_lags, local",
-        [(20, 30, True), (1, 1, False)],
-        ids=["20 sites x 30 lags", "one site"],
+        "coords, params, local",
+        [
+            (_shifted_copies(20, 30, (1.0, 1.0)), SmithParams(1.0, 0.3, 2.0), True),
+            (_shifted_copies(1, 1, (1.0, 1.0)), SmithParams(1.0, 0.3, 2.0), False),
+            (_shifted_copies(4, 4, (1.0, 1.0)), SmithParams(1.0, 0.0, 1.0), False),
+            (_shifted_copies(20, 6, (1.0, -0.5)), SmithParams(4.0, 1.9, 1.0), False),
+        ],
+        ids=["20 sites x 30 lags", "one site", "4 sites x 4 lags", "20x6 elongated"],
     )
-    def test_matches_dense_reference_bit_for_bit(self, n_sites, n_lags, local):
-        params = SmithParams(1.0, 0.3, 2.0)
-        grid = np.random.default_rng(0).uniform(0, 10, size=(n_sites, 2))
-        coords = np.concatenate([grid + lag * np.array([1.0, 1.0]) for lag in range(n_lags)])
+    def test_matches_dense_reference_bit_for_bit(self, coords, params, local):
+        r_buf = params.buffer_radius()
+        area = np.prod(np.ptp(coords, axis=0) + 2.0 * r_buf)
+        assert (area > _LOCAL_AREA_DISKS * np.pi * r_buf * r_buf) == local
         values, n_storms, n_evals = _smith_values(
             coords, params, SeededStream(1).generator(), STORM_CAP
         )
-        ref_values, ref_storms = _dense_smith_reference(coords, params, SeededStream(1).generator())
+        ref_values, ref_storms, ref_evals = _dense_smith_reference(
+            coords, params, SeededStream(1).generator(), retire=True
+        )
         assert n_storms == ref_storms
         np.testing.assert_array_equal(values, ref_values)
-        dense_evals = n_storms * coords.shape[0]
-        assert (n_evals < dense_evals) if local else (n_evals == dense_evals)
+        # The local path evaluates only the live pairs within r_buf.
+        assert (n_evals < ref_evals) if local else (n_evals == ref_evals)
+        if coords.shape[0] > 1:
+            assert ref_evals < n_storms * coords.shape[0], "no entry was retired"
 
     @pytest.mark.parametrize(
         "coords, params",
@@ -307,6 +321,28 @@ class TestLocalEvaluation:
         )
         np.testing.assert_array_equal(values, ref_values)
         assert ref_evals == 130
+
+    def test_dense_block_with_every_entry_retired_makes_no_evaluation(self):
+        # The dense-path twin of the test above: two entries one unit apart.
+        # Block 1 evaluates all 64 storms at both entries; block 2, its
+        # storms all on entry 0, starts with both entries retired.
+        coords = np.array([[0.0, 0.0], [1.0, 0.0]])
+        params = SmithParams(1.0, 0.0, 1.0)
+        r_buf = params.buffer_radius()
+        assert (1.0 + 2.0 * r_buf) * 2.0 * r_buf <= _LOCAL_AREA_DISKS * np.pi * r_buf * r_buf
+        first = np.tile([30.0, 0.0], (64, 1))
+        first[62:] = coords
+        second = np.tile(coords[0], (128, 1))
+        blocks = [(np.r_[1.0, np.full(63, 1e-9)], first), (np.full(128, 1e-6), second)]
+        values, n_storms, n_evals = _smith_values(
+            coords, params, _ScriptedGenerator(blocks), STORM_CAP
+        )
+        assert (n_storms, n_evals) == (192, 128)
+        ref_values, _, ref_evals = _dense_smith_reference(
+            coords, params, _ScriptedGenerator(blocks), retire=True
+        )
+        np.testing.assert_array_equal(values, ref_values)
+        assert ref_evals == 128
 
     @pytest.mark.parametrize(
         "coords, params",

@@ -7,10 +7,12 @@ Run from the root of a checkout, at two commits, and compare the output:
 Each line is a name and a sha256.  ``simulators`` covers every simulator
 on small inputs, most of them on the dense storm path, plus two
 log-likelihoods; ``field.csv`` is the file ``maxstorm simulate`` writes.
-The ``local`` lines cover Smith recursions on the local storm path: 20
-uniform sites on [0, 10]^2 over 20, 30 and 80 dates (records of the study
-recipe, seed 1), and a 30-date record under an elongated covariance.  They
-hash the values and the storms drawn per date.  Two more ``local`` lines
+``dense 4x4`` covers Smith recursions on the dense storm path, the 24
+records of 4 uniform sites on [0, 10]^2 over 4 dates of the study recipe,
+seed 1.  The ``local`` lines cover Smith recursions on the local storm
+path: 20 such sites over 20, 30 and 80 dates (records of the same recipe),
+and a 30-date record under an elongated covariance.  These lines hash the
+values and the storms drawn per date.  Two more ``local`` lines
 hash single Smith fields on wide windows, seeds 0-49: a line of 40 sites
 about 640 buffer radii long, and 3,000 sites in the unit square with one
 at (100, 0).  The ``evals`` lines give the storm-entry evaluations of the
@@ -47,12 +49,13 @@ INI = """[model]\nkind = smith\nsigma11 = 1.0\nsigma12 = 0.2\nsigma22 = 1.5
 [run]\nn_dates = 8\nseed = 424242
 """
 
-# (name, storm covariance, dates, records) of the local-path recursions.
-LOCAL = (
-    ("20x20", ms.SmithParams(1.0, 0.0, 1.0), 20, 4),
-    ("20x30", ms.SmithParams(1.0, 0.0, 1.0), 30, 2),
-    ("20x80", ms.SmithParams(1.0, 0.0, 1.0), 80, 1),
-    ("20x30 elongated", ms.SmithParams(4.0, 1.9, 1.0), 30, 1),
+# (path, name, storm covariance, sites, dates, records) of the recursions.
+RECORDS = (
+    ("dense", "4x4", ms.SmithParams(1.0, 0.0, 1.0), 4, 4, 24),
+    ("local", "20x20", ms.SmithParams(1.0, 0.0, 1.0), 20, 20, 4),
+    ("local", "20x30", ms.SmithParams(1.0, 0.0, 1.0), 20, 30, 2),
+    ("local", "20x80", ms.SmithParams(1.0, 0.0, 1.0), 20, 80, 1),
+    ("local", "20x30 elongated", ms.SmithParams(4.0, 1.9, 1.0), 20, 30, 1),
 )
 
 # (name, sites, storm covariance) of the local-path single fields.
@@ -110,13 +113,13 @@ def field_csv() -> str:
         return hashlib.sha256(pathlib.Path(d, "out", "field.csv").read_bytes()).hexdigest()
 
 
-def local(params: ms.SmithParams, n_dates: int, records: int) -> tuple[str, int]:
+def record(params: ms.SmithParams, n_sites: int, n_dates: int, records: int) -> tuple[str, int]:
     h = hashlib.sha256()
     evals = 0
     markov = ms.MarkovParams(0.7, (-1.0, -1.0))
     for i in range(records):
         root = ms.SeededStream(1).child(i)
-        sites = ms.SiteSet.planar(root.child(0).generator().uniform(0.0, 10.0, size=(20, 2)))
+        sites = ms.SiteSet.planar(root.child(0).generator().uniform(0.0, 10.0, size=(n_sites, 2)))
         f = ms.simulate_markov_planar(sites, n_dates, params, markov, root.child(1))
         h.update(np.ascontiguousarray(f.values).tobytes())
         h.update(np.asarray(f.meta["n_storms_per_date"], dtype=np.int64).tobytes())
@@ -235,9 +238,9 @@ def cli() -> str:
 if __name__ == "__main__":
     print("simulators", simulators())
     print("field.csv", field_csv())
-    for name, params, n_dates, records in LOCAL:
-        digest, evals = local(params, n_dates, records)
-        print(f"local {name}", digest)
+    for path, name, params, n_sites, n_dates, records in RECORDS:
+        digest, evals = record(params, n_sites, n_dates, records)
+        print(f"{path} {name}", digest)
         print(f"evals {name}", evals)
     for name, coords, params in LOCAL_FIELDS:
         digest, evals = local_field(coords, params)
