@@ -47,18 +47,6 @@ __all__ = ["main"]
 logger = logging.getLogger(__name__)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return obj
-
-
 def _cell(x) -> str:
     """A CSV cell: floats at full precision, everything else as ``str``."""
     return repr(float(x)) if isinstance(x, float) else str(x)
@@ -104,8 +92,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_dir / "field_meta.json",
         {
             "command": "simulate",
-            "config": _jsonable(sim.echo()),
-            "diagnostics": _jsonable(field.meta),
+            "config": sim.echo(),
+            "diagnostics": field.meta,
         },
     )
     print(f"wrote {field_path} and {meta_path}")
@@ -174,7 +162,7 @@ def cmd_mc_study(args: argparse.Namespace) -> int:
     _write_csv(sum_path, [f.name for f in fields(StudySummaryRow)], map(astuple, result.summary))
     write_meta(
         out_dir / "study_meta.json",
-        {"command": "mc-study", "config": _jsonable(sc.echo())},
+        {"command": "mc-study", "config": sc.echo()},
     )
 
     print(f"wrote {rep_path} and {sum_path}")

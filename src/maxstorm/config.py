@@ -270,14 +270,21 @@ def _build_markov(cfg: dict, kind: str) -> MarkovParams:
 def build_simulate_config(cfg: dict) -> SimulateConfig:
     kind, spatial = _build_spatial(cfg)
     seed = _need(cfg, "run", "seed")
+    n_dates = _need(cfg, "run", "n_dates")
+    if n_dates < 1:
+        raise ValidationError(f"[run] n_dates must be >= 1, got {n_dates}")
+    # Only the Schlather model reads the storm cap.
+    n_storms = _get(cfg, "run", "n_storms", _SCHLATHER_STORMS)
+    if kind == "schlather" and n_storms < 1:
+        raise ValidationError(f"[run] n_storms must be >= 1, got {n_storms}")
     return SimulateConfig(
         kind=kind,
         spatial=spatial,
         markov=_build_markov(cfg, kind),
         sites=_build_sites(cfg, kind, seed),
-        n_dates=_need(cfg, "run", "n_dates"),
+        n_dates=n_dates,
         seed=seed,
-        n_storms=_get(cfg, "run", "n_storms", _SCHLATHER_STORMS),
+        n_storms=n_storms,
     )
 
 

@@ -19,35 +19,38 @@ spatial pair, ``a**l = 1``).  Pairs aligned with the moving frame
 continuous part is an independent Frechet product on ``z2 > a**l z1`` and
 zero below.
 
-Each composite objective sums ``log f``, optionally weighted, over the
-pairs of observation ``(t_i, x_k)`` with ``(t_j, x_l)`` for ``k < l`` (so
-same-site pairs never enter) and for one set of date pairs: ``i < j`` for
-the space-time objective, ``i == j`` for the same-date one, whose terms are
-lag-0 terms (``a**0 = 1``).  One builder crosses either set with the site
-pairs; a same-date pair has temporal weight 1.  The parameter-free parts of
-every term are prepared once per dataset, and ``h`` and ``a**l`` once per
-distinct (lag, site pair).
+There is one objective, keyed by its pair table.  It sums ``log f``,
+optionally weighted, over the pairs of observation ``(t_i, x_k)`` with
+``(t_j, x_l)`` for ``k < l`` (so same-site pairs never enter) and for the
+table's set of date pairs: ``i < j`` for the space-time table, ``i == j``
+for the same-date one.  One builder crosses either set with the site pairs;
+a same-date pair has temporal weight 1.  The parameter-free parts of every
+term are prepared once per dataset, and ``h`` and ``a**l`` once per distinct
+(lag, site pair).  The table's lags, not the caller, decide what the
+parameters act on: every row of the same-date table has lag 0, so
+``a**0 = 1``, the offset is ``dx`` and the objective is a function of the
+covariance alone, the same bits at every ``(a, tau)``.
 Both estimation schemes run through one driver, :func:`_fit`, as a list of
 stages over ``theta = (sigma11, sigma12, sigma22, a, tau1, tau2)``.  A stage
-names its objective, the parameter blocks it frees and its starts.  Scheme 1
-runs two: the same-date objective over the covariance block from the initial
-value, then the space-time objective over the ``a`` and ``tau`` blocks from
-the starts of a coarse scan.  Scheme 2 runs one: the space-time objective
-over all three blocks from the same scan's starts.  The scan only ranks
-lattice points, so it scores the space-time objective on the terms of the
-fit's two shortest distinct time lags, the pairs that carry most of the
-information about ``tau``, and it scores all 244 of its points in one
-batched kernel call; the refinement and the reported log likelihood use
-every term.  One blockwise map takes each free block onto all of R^k
-(log-Cholesky for the covariance, logit for ``a``, identity for ``tau``); a
-held block is copied as it is, so scheme 1 keeps its covariance estimate bit
-for bit.  Each start is refined by scipy's Nelder-Mead, derivative-free and
-bounded by an evaluation budget; a run that converges within its budget is
-polished by scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
-1995) on the rest of it.  The polish uses the analytic gradient: the kernel
-differentiates each term in ``h`` and ``c = l log a``, the partials are
-summed per table row, and the chain rule through ``h`` and the blockwise
-maps carries them to the free coordinates.
+is a pair table, the parameter blocks it frees and its starts.  Scheme 1
+runs two: the same-date table over the covariance block from the initial
+value, then the space-time table over the ``a`` and ``tau`` blocks from
+the starts of a coarse scan.  Scheme 2 runs one: the space-time table over
+all three blocks from the same scan's starts.  The scan only ranks lattice
+points, so it scores the objective on the space-time terms of the fit's two
+shortest distinct time lags, the pairs that carry most of the information
+about ``tau``, and it scores all 244 of its points in one batched kernel
+call; the refinement and the reported log likelihood use every term.  One
+blockwise map takes each free block onto all of R^k (log-Cholesky for the
+covariance, logit for ``a``, identity for ``tau``); a held block is copied
+as it is, so scheme 1 keeps its covariance estimate bit for bit.  Each start
+is refined by scipy's Nelder-Mead, derivative-free and bounded by an
+evaluation budget; a run that converges within its budget is polished by
+scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995) on the
+rest of it.  The polish uses the analytic gradient: the kernel differentiates
+each term in ``h`` and ``c = l log a``, the partials are summed per table
+row, and the chain rule through ``h`` and the blockwise maps carries them to
+the free coordinates.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -464,35 +468,6 @@ def _log_pair_density(
         yield c, logf, n_floored
 
 
-def _weighted_loglik(
-    pairs: _PreparedPairs,
-    sigma: SmithParams,
-    a: np.ndarray,
-    tau: np.ndarray,
-    name: str,
-    gradient: bool = False,
-) -> np.ndarray | tuple[float, np.ndarray]:
-    """Weighted sum of the floored terms at each candidate, one chunk at a time.
-
-    With ``gradient``, for a single candidate, the value and its gradient in
-    ``theta``: the weighted term partials are summed onto table rows and
-    chained by :func:`_theta_gradient`.  The value is the same bits as
-    without it.
-    """
-    values = np.empty(a.size)
-    partials = np.empty((2, pairs.n_terms)) if gradient else None
-    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau, partials):
-        for count in filter(None, n_floored):
-            logger.debug("%s floored %d of %d terms", name, count, pairs.n_terms)
-        logf *= pairs.weight
-        values[c] = np.add.reduce(logf, axis=1)
-    if not gradient:
-        return values
-    partials *= pairs.weight
-    d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
-    return float(values[0]), _theta_gradient(pairs, sigma, float(a[0]), tau[0], d_h, d_c)
-
-
 def _theta_gradient(
     pairs: _PreparedPairs,
     sigma: SmithParams,
@@ -603,24 +578,42 @@ def _prepare_pairs(
 
 
 def _eval_st_loglik(
-    prepared: _PreparedPairs,
+    pairs: _PreparedPairs,
     sigma: SmithParams,
     a: np.ndarray,
     tau: np.ndarray,
     gradient: bool = False,
 ) -> np.ndarray | tuple[float, np.ndarray]:
-    """Space-time objective at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``.
+    """Objective of one pair table at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``.
 
-    With ``gradient`` (``k = 1``), its value and its gradient in ``theta``.
+    The weighted sum of the floored terms at each candidate, one chunk at a
+    time.  The table's lags decide what the candidates act on: a same-date
+    table has lag 0 on every row, so any ``(a, tau)`` gives it the bits of
+    ``(1, (0, 0))``.  With ``gradient``, for a single candidate, the value
+    and its gradient in ``theta``: the weighted term partials are summed onto
+    table rows and chained by :func:`_theta_gradient`.  The value is the same
+    bits as without it.
     """
-    return _weighted_loglik(prepared, sigma, a, tau, "pairwise objective", gradient)
+    values = np.empty(a.size)
+    partials = np.empty((2, pairs.n_terms)) if gradient else None
+    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau, partials):
+        for count in filter(None, n_floored):
+            logger.debug("pairwise objective floored %d of %d terms", count, pairs.n_terms)
+        logf *= pairs.weight
+        values[c] = np.add.reduce(logf, axis=1)
+    if not gradient:
+        return values
+    partials *= pairs.weight
+    d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
+    return float(values[0]), _theta_gradient(pairs, sigma, float(a[0]), tau[0], d_h, d_c)
 
 
-def _st_loglik_at(
-    prepared: _PreparedPairs, theta: ThetaVector, gradient: bool = False
+def _loglik_at(
+    pairs: _PreparedPairs, theta: ThetaVector, gradient: bool = False
 ) -> float | tuple[float, np.ndarray]:
+    """Objective of ``pairs`` at ``theta``; with ``gradient``, also its gradient in ``theta``."""
     a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
-    out = _eval_st_loglik(prepared, theta.smith, a, tau, gradient=gradient)
+    out = _eval_st_loglik(pairs, theta.smith, a, tau, gradient=gradient)
     return out if gradient else float(out[0])
 
 
@@ -637,20 +630,12 @@ def pairwise_loglik(
     contiguous array, whose pairwise reduction order depends only on the
     term count, so the value is the same bits on every run.
     """
-    return _st_loglik_at(_prepare_pairs(data, weights, np.triu_indices(data.n_dates, 1)), theta)
+    return _loglik_at(_prepare_pairs(data, weights, np.triu_indices(data.n_dates, 1)), theta)
 
 
-def _eval_spatial_loglik(
-    prepared: _PreparedPairs, sigma: SmithParams, gradient: bool = False
-) -> float | tuple[float, np.ndarray]:
-    """Same-date objective under ``sigma``; with ``gradient``, also its gradient in ``theta``.
-
-    Only the covariance entries of that gradient can be nonzero.
-    """
-    out = _weighted_loglik(
-        prepared, sigma, np.ones(1), np.zeros((1, 2)), "spatial objective", gradient
-    )
-    return out if gradient else float(out[0])
+def _eval_spatial_loglik(prepared: _PreparedPairs, sigma: SmithParams) -> float:
+    """Objective of a same-date table under ``sigma``, at ``a = 1`` and ``tau = 0``."""
+    return float(_eval_st_loglik(prepared, sigma, np.ones(1), np.zeros((1, 2)))[0])
 
 
 def spatial_pairwise_loglik(
@@ -927,21 +912,20 @@ def _temporal_start_candidates(
 
 
 def _stage_objective(
-    loglik: Callable[..., float | tuple[float, np.ndarray]], base: np.ndarray, free: tuple
+    pairs: _PreparedPairs, base: np.ndarray, free: tuple
 ) -> Callable[..., float | tuple[float, np.ndarray]]:
-    """Minus ``loglik`` over the free coordinates of the ``free`` blocks.
+    """Minus the objective of ``pairs`` over the free coordinates of the ``free`` blocks.
 
-    The held blocks keep their values in ``base``.  ``loglik(theta)`` is a
-    value and ``loglik(theta, gradient=True)`` a value and its gradient in
-    theta; the objective takes ``gradient`` the same way, with the gradient
-    pulled back to the free coordinates.
+    The held blocks keep their values in ``base``.  The objective is a value,
+    and with ``gradient=True`` a value and its gradient pulled back to the
+    free coordinates.
     """
 
     def objective(u: np.ndarray, gradient: bool = False):
         theta = ThetaVector.from_array(_from_free(u, base, free))
         if not gradient:
-            return -loglik(theta)
-        value, grad = loglik(theta, gradient=True)
+            return -_loglik_at(pairs, theta)
+        value, grad = _loglik_at(pairs, theta, gradient=True)
         return -value, -_free_gradient(u, grad, free)
 
     return objective
@@ -959,8 +943,9 @@ def _a_is_interior(a: float) -> bool:
 def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int) -> FitReport:
     """Run the stages of ``scheme`` from ``init`` on pair tables built once.
 
-    A stage is a log likelihood of theta, the blocks it frees and a rule
-    giving its starts from the current theta.  Each start is refined by
+    A stage is a pair table, the blocks it frees and a rule giving its
+    starts from the current theta; the table's date pairs alone make it the
+    same-date or the space-time objective.  Each start is refined by
     :func:`_nelder_mead` over the free blocks' unconstrained coordinates, a
     simplex run and its gradient polish; the best run's theta passes to the
     next stage, and the last stage's value is the reported log likelihood.
@@ -971,33 +956,20 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
         data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
     )
     n = data.n_dates
-    spatial_pairs = _prepare_pairs(data, weights, (np.arange(n),) * 2) if scheme == 1 else None
     st_pairs = _prepare_pairs(data, weights, np.triu_indices(n, 1))
-    scan_pairs = _short_lag_pairs(st_pairs)
-
-    def spatial(theta: ThetaVector, gradient: bool = False):
-        return _eval_spatial_loglik(spatial_pairs, theta.smith, gradient=gradient)
-
-    def space_time(theta: ThetaVector, gradient: bool = False):
-        return _st_loglik_at(st_pairs, theta, gradient)
-
-    def scan(theta: np.ndarray) -> list[np.ndarray]:
-        return _temporal_start_candidates(scan_pairs, theta)
-
+    scan = partial(_temporal_start_candidates, _short_lag_pairs(st_pairs))
     if scheme == 1:
-        stages = [
-            (spatial, (_SIGMA,), lambda theta: [theta]),
-            (space_time, (_A, _TAU), scan),
-        ]
+        same_date = _prepare_pairs(data, weights, (np.arange(n),) * 2)
+        stages = [(same_date, (_SIGMA,), lambda theta: [theta]), (st_pairs, (_A, _TAU), scan)]
     else:
-        stages = [(space_time, (_SIGMA, _A, _TAU), scan)]
+        stages = [(st_pairs, (_SIGMA, _A, _TAU), scan)]
 
     theta = init.as_array()
     iterations, converged = 0, True
-    for loglik, free, starts in stages:
+    for pairs, free, starts in stages:
         runs = []
         for start in starts(theta):
-            run = _nelder_mead(_stage_objective(loglik, start, free), _to_free(start, free), opts)
+            run = _nelder_mead(_stage_objective(pairs, start, free), _to_free(start, free), opts)
             run.x = _from_free(run.x, start, free)
             runs.append(run)
         best = min(runs, key=lambda r: r.fun)

@@ -118,23 +118,32 @@ class SpaceTimeField:
         return len(self.sites)
 
 
-def _entry_coords_planar(grid: np.ndarray, n_dates: int, tau: np.ndarray) -> np.ndarray:
-    m = grid.shape[0]
-    coords = np.empty((n_dates * m, 2))
-    for j in range(n_dates):
-        coords[j * m : (j + 1) * m] = grid - j * tau
-    return coords
+def _entry_coords(
+    sites: SiteSet,
+    n_lags: int,
+    spatial: SmithParams | SchlatherParams | VmfParams,
+    markov: MarkovParams,
+) -> np.ndarray:
+    """Every site shifted back ``0..n_lags-1`` steps, lag major.
 
-
-def _entry_coords_sphere(mesh: np.ndarray, n_dates: int, rot: RotationSpec) -> np.ndarray:
-    m = mesh.shape[0]
-    coords = np.empty((n_dates * m, 3))
-    for j in range(n_dates):
-        # Rotation evaluated at the accumulated angle: exactly orthogonal for
-        # every lag, no drift from repeated matrix products.
-        rj = rotation_matrix(rot, steps=float(j))
-        coords[j * m : (j + 1) * m] = mesh @ rj.T
-    return coords
+    Planar sites are translated by ``tau`` and take Smith or Schlather
+    innovations; sphere sites are rotated and take von Mises-Fisher ones.
+    """
+    coords = np.asarray(sites.coords)
+    if sites.kind == "planar":
+        if isinstance(spatial, VmfParams):
+            raise ValidationError("planar innovations must be Smith or Schlather")
+        tau = markov.tau_array()
+        return np.concatenate([coords - j * tau for j in range(n_lags)])
+    if markov.rotation is None:
+        raise ValidationError("spherical model requires rotation parameters")
+    if not isinstance(spatial, VmfParams):
+        raise ValidationError("spherical innovations must be von Mises-Fisher")
+    # Rotation evaluated at the accumulated angle: exactly orthogonal for
+    # every lag, no drift from repeated matrix products.
+    return np.concatenate(
+        [coords @ rotation_matrix(markov.rotation, steps=float(j)).T for j in range(n_lags)]
+    )
 
 
 def _innovation(
@@ -159,14 +168,13 @@ def _innovation(
 
 def _simulate_markov(
     site_set: SiteSet,
-    entry_coords: np.ndarray,
     n_dates: int,
     spatial: SmithParams | SchlatherParams | VmfParams,
     markov: MarkovParams,
     stream: SeededStream,
     n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
-    """Run the recursion on the enlarged site set ``entry_coords``.
+    """Run the recursion on the enlarged site set of :func:`_entry_coords`.
 
     Entry ``k = lag * M + m`` holds the ``m``-th output site shifted back
     ``lag`` steps.  The state after date ``i`` (0-based) is needed only on
@@ -174,6 +182,9 @@ def _simulate_markov(
     each date draws its innovation there and the state shrinks by ``M``
     entries a date.
     """
+    if n_dates < 1:
+        raise ValidationError(f"n_dates must be >= 1, got {n_dates}")
+    entry_coords = _entry_coords(site_set, n_dates, spatial, markov)
     m = len(site_set)
     a = markov.a
     if isinstance(spatial, SchlatherParams):
@@ -238,13 +249,7 @@ def simulate_markov_planar(
     """
     if grid.kind != "planar":
         raise ValidationError("simulate_markov_planar requires planar sites")
-    if n_dates < 1:
-        raise ValidationError(f"n_dates must be >= 1, got {n_dates}")
-    if isinstance(spatial, VmfParams):
-        raise ValidationError("planar innovations must be Smith or Schlather")
-    tau = markov.tau_array()
-    entry_coords = _entry_coords_planar(np.asarray(grid.coords), n_dates, tau)
-    return _simulate_markov(grid, entry_coords, n_dates, spatial, markov, stream, n_storms)
+    return _simulate_markov(grid, n_dates, spatial, markov, stream, n_storms)
 
 
 def simulate_markov_sphere(
@@ -262,16 +267,7 @@ def simulate_markov_sphere(
     """
     if mesh.kind != "sphere":
         raise ValidationError("simulate_markov_sphere requires sphere sites")
-    if n_dates < 1:
-        raise ValidationError(f"n_dates must be >= 1, got {n_dates}")
-    if markov.rotation is None:
-        raise ValidationError("spherical model requires rotation parameters")
-    if not isinstance(spatial, VmfParams):
-        raise ValidationError("spherical innovations must be von Mises-Fisher")
-    entry_coords = _entry_coords_sphere(
-        np.asarray(mesh.coords), n_dates, markov.rotation
-    )
-    return _simulate_markov(mesh, entry_coords, n_dates, spatial, markov, stream)
+    return _simulate_markov(mesh, n_dates, spatial, markov, stream)
 
 
 def truncated_moving_max(
@@ -297,20 +293,7 @@ def truncated_moving_max(
     dates = np.asarray(dates, dtype=int)
     if dates.ndim != 1 or dates.size == 0 or np.any(np.diff(dates) <= 0):
         raise ValidationError("dates must be a non-empty strictly increasing array")
-    if sites.kind == "planar":
-        if isinstance(spatial, VmfParams):
-            raise ValidationError("planar innovations must be Smith or Schlather")
-        entry_coords = _entry_coords_planar(
-            np.asarray(sites.coords), J + 1, markov.tau_array()
-        )
-    else:
-        if markov.rotation is None:
-            raise ValidationError("spherical model requires rotation parameters")
-        if not isinstance(spatial, VmfParams):
-            raise ValidationError("spherical innovations must be von Mises-Fisher")
-        entry_coords = _entry_coords_sphere(
-            np.asarray(sites.coords), J + 1, markov.rotation
-        )
+    entry_coords = _entry_coords(sites, J + 1, spatial, markov)
 
     m = len(sites)
     a = markov.a

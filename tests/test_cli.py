@@ -272,6 +272,24 @@ def test_simulate_negative_site_count_exits_with_validation_code(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "ini",
+    [
+        SIM_INI.replace("n_dates = 4", "n_dates = 0"),
+        SIM_INI.replace("n_dates = 4", "n_dates = -2"),
+        SCHLATHER_TOO_LARGE_INI.replace("n_side = 20", "n_side = 3") + "n_storms = 0\n",
+    ],
+    ids=["no dates", "negative dates", "schlather without storms"],
+)
+def test_simulate_without_dates_or_storms_writes_no_directory(tmp_path, capsys, ini):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "n_dates, n_sites", [(6, -3), (6, 1), (1, 6)], ids=["negative sites", "one site", "one date"]
 )
 def test_mc_study_without_pairs_fails_before_any_replicate(tmp_path, monkeypatch, n_dates, n_sites):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,16 +36,15 @@ from maxstorm.inference import (
     _SIGMA,
     _TAU,
     _chol_to_sigma,
-    _eval_spatial_loglik,
     _eval_st_loglik,
     _free_gradient,
     _from_free,
     _log_pair_density,
+    _loglik_at,
     _nelder_mead,
     _prepare_pairs,
     _prepared_pairs,
     _short_lag_pairs,
-    _st_loglik_at,
     _stage_objective,
     _temporal_start_candidates,
     _to_free,
@@ -288,18 +288,14 @@ def _random_theta(u):
     return np.array([s11, s12, s22, 0.1 + 0.85 * u[3], 4.0 * u[4] - 2.0, 4.0 * u[5] - 2.0])
 
 
+def _tables(data, weights=None):
+    """Each stage's pair table: the same-date one and the space-time one."""
+    return _same_date_table(data, weights), _st_table(data, weights)
+
+
 def _objectives(data, weights=None):
     """Each stage's log likelihood of theta: the same-date one and the space-time one."""
-    spatial_pairs = _same_date_table(data, weights)
-    st_pairs = _st_table(data, weights)
-
-    def spatial(theta, gradient=False):
-        return _eval_spatial_loglik(spatial_pairs, theta.smith, gradient=gradient)
-
-    def space_time(theta, gradient=False):
-        return _st_loglik_at(st_pairs, theta, gradient)
-
-    return spatial, space_time
+    return [partial(_loglik_at, pairs) for pairs in _tables(data, weights)]
 
 
 def _central_difference(f, u, step=1e-4):
@@ -322,7 +318,7 @@ def _assert_gradient_matches(objective, u, rel=1e-6):
     assert np.max(np.abs(grad - want)) <= rel * np.max(np.abs(want))
 
 
-# The stages of both schemes: objective, free blocks.
+# The stages of both schemes: index into `_tables`, free blocks.
 _STAGES = {
     "scheme-1 covariance": (0, (_SIGMA,)),
     "scheme-1 (a, tau)": (1, (_A, _TAU)),
@@ -357,7 +353,7 @@ class TestGradient:
             weights.temporal[0, 1] = weights.spatial[0, 1] = 1.0
         which, free = _STAGES[stage]
         base = _random_theta(unit)
-        objective = _stage_objective(_objectives(self.DATA, weights)[which], base, free)
+        objective = _stage_objective(_tables(self.DATA, weights)[which], base, free)
         _assert_gradient_matches(objective, _to_free(base, free))
 
     @settings(max_examples=20, deadline=None)
@@ -377,7 +373,7 @@ class TestGradient:
         (_, _, n_floored), = _log_pair_density(pairs, sigma, base[3:4], base[None, 4:])
         assert n_floored[0] > 0
         free = (_SIGMA, _A)
-        objective = _stage_objective(_objectives(self.GRID)[1], base, free)
+        objective = _stage_objective(pairs, base, free)
         _assert_gradient_matches(objective, _to_free(base, free))
         # The frame terms' partials: 0 in h, and the product law's in c.
         partials = np.empty((2, pairs.n_terms))
@@ -638,6 +634,39 @@ class TestObjectiveInvariance:
         assert pairwise_loglik(moved, theta) == pytest.approx(want, rel=1e-12)
         want = spatial_pairwise_loglik(data, theta.smith)
         assert spatial_pairwise_loglik(moved, theta.smith) == pytest.approx(want, rel=1e-12)
+
+
+class TestOneObjective:
+    # Every row of the same-date table has lag 0: a**0 = 1 and the offset is
+    # dx, so the table's objective cannot see (a, tau).
+    FIELDS = {
+        "uniform 6 x 6": _sim(41, n_dates=6, n_sites=6),
+        "uniform 9 sites x 4 dates": _sim(42, n_dates=4, n_sites=9, high=10.0),
+        "3 x 3 grid": simulate_markov_planar(
+            square_grid(3), 5, THETA0.smith, THETA0.markov, SeededStream(17)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_same_date_table_gives_the_bits_of_unit_a_and_zero_tau(self, name):
+        data = self.FIELDS[name]
+        pairs = _same_date_table(data, None)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            theta = _random_theta(rng.random(6))
+            sigma = SmithParams(*theta[:3])
+            value, grad = _eval_st_loglik(pairs, sigma, theta[3:4], theta[None, 4:], gradient=True)
+            want, want_grad = _eval_st_loglik(
+                pairs, sigma, np.ones(1), np.zeros((1, 2)), gradient=True
+            )
+            assert value == want
+            assert np.array_equal(grad[:3], want_grad[:3])
+            assert _loglik_at(pairs, ThetaVector.from_array(theta)) == want
+            assert spatial_pairwise_loglik(data, sigma) == want
+            # A batch of candidates all score the same bits.
+            a = rng.uniform(0.05, 0.95, 5)
+            tau = rng.uniform(-3.0, 3.0, (5, 2))
+            assert np.all(_eval_st_loglik(pairs, sigma, a, tau) == want)
 
 
 class TestFitOptions:
@@ -996,21 +1025,19 @@ class TestFits:
     def test_scheme1_holds_covariance_estimate_in_second_stage(self, monkeypatch):
         # Every space-time evaluation, scan included, sees the covariance
         # exactly as the same-date stage found it: its best evaluated point.
+        # The same-date table is the one with no nonzero lag.
         rows, spatial_seen = [], []
-        st_original = inference._eval_st_loglik
-        spatial_original = inference._eval_spatial_loglik
+        original = inference._eval_st_loglik
 
         def recording(prepared, sigma, a, tau, gradient=False):
-            rows.extend((sigma, a_i, tuple(tau_i)) for a_i, tau_i in zip(a, tau))
-            return st_original(prepared, sigma, a, tau, gradient=gradient)
-
-        def spatial_recording(prepared, sigma, gradient=False):
-            out = spatial_original(prepared, sigma, gradient=gradient)
-            spatial_seen.append((out[0] if gradient else out, sigma))
+            out = original(prepared, sigma, a, tau, gradient=gradient)
+            if prepared.lag.any():
+                rows.extend((sigma, a_i, tuple(tau_i)) for a_i, tau_i in zip(a, tau))
+            else:
+                spatial_seen.append((out[0], sigma))
             return out
 
         monkeypatch.setattr(inference, "_eval_st_loglik", recording)
-        monkeypatch.setattr(inference, "_eval_spatial_loglik", spatial_recording)
         data = _sim(780, n_dates=5, n_sites=5)
         init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
         report = fit_scheme1(data, init, FitOptions(max_evals=300))
@@ -1057,7 +1084,9 @@ class TestFits:
 
         def recording(prepared, sigma, a, tau, gradient=False):
             assert tau.shape == (a.size, 2)
-            calls.append((prepared.n_terms, a.size))
+            # Scheme 1's same-date stage has lag 0 on every row.
+            if prepared.lag.any():
+                calls.append((prepared.n_terms, a.size))
             return original(prepared, sigma, a, tau, gradient=gradient)
 
         monkeypatch.setattr(inference, "_eval_st_loglik", recording)
@@ -1101,6 +1130,23 @@ class TestFits:
         init = ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
         opts = FitOptions(max_evals=200)
         assert fit(shifted, init, opts) == fit(data, init, opts)
+
+    @pytest.mark.parametrize("fit", [fit_scheme1, fit_scheme2])
+    def test_every_evaluation_reaches_the_module_kernel(self, monkeypatch, fit):
+        # perfbench counts evaluations by wrapping inference._eval_st_loglik.
+        # On a record with no rejected step, every optimizer evaluation of
+        # either stage is one call, and the batched scan one more.
+        calls = []
+        original = inference._eval_st_loglik
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_eval_st_loglik", counting)
+        data = _sim(783, n_dates=6, n_sites=5)
+        report = fit(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0), FitOptions(max_evals=100))
+        assert len(calls) == report.iterations + 1
 
     def test_report_counts_pairs(self):
         data = _sim(779, n_dates=5, n_sites=4)
