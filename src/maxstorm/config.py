@@ -20,17 +20,7 @@ from .inference import FitOptions, ThetaVector
 from .spacetime import MarkovParams
 from .spatial import _SCHLATHER_STORMS, SchlatherParams, SmithParams, VmfParams
 
-__all__ = [
-    "load_config",
-    "build_simulate_config",
-    "build_dependence_config",
-    "build_fit_config",
-    "build_study_config",
-    "SimulateConfig",
-    "DependenceConfig",
-    "FitConfig",
-    "StudyConfig",
-]
+__all__ = ["StudyConfig"]
 
 # The neutral start of every study fit, and of a [fit] without init_* keys:
 # identity storm covariance, a = 0.5 and no translation.
@@ -183,6 +173,14 @@ def _get(cfg: dict, section: str, key: str, default):
     return cfg.get(section, {}).get(key, default)
 
 
+def _need_seed(cfg: dict, section: str) -> int:
+    # Checked here so that a command fails before it writes or runs anything.
+    seed = _need(cfg, section, "seed")
+    if seed < 0:
+        raise ValidationError(f"[{section}] seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimulateConfig:
     kind: str
@@ -269,7 +267,7 @@ def _build_markov(cfg: dict, kind: str) -> MarkovParams:
 
 def build_simulate_config(cfg: dict) -> SimulateConfig:
     kind, spatial = _build_spatial(cfg)
-    seed = _need(cfg, "run", "seed")
+    seed = _need_seed(cfg, "run")
     n_dates = _need(cfg, "run", "n_dates")
     if n_dates < 1:
         raise ValidationError(f"[run] n_dates must be >= 1, got {n_dates}")
@@ -382,7 +380,7 @@ def build_study_config(cfg: dict, replicates: int | None = None) -> StudyConfig:
         theta0=theta0,
         n_dates=n_dates,
         n_sites=n_sites,
-        seed=_need(cfg, "study", "seed"),
+        seed=_need_seed(cfg, "study"),
         replicates=replicates,
         scheme=_get(cfg, "study", "scheme", "1"),
         low=low,

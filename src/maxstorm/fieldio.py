@@ -63,6 +63,7 @@ def read_field(path: str | Path) -> SpaceTimeField:
     dates: list[int] = []
     blocks: list[list[float]] = []
     site_blocks: list[list[tuple[float, ...]]] = []
+    line_blocks: list[list[int]] = []  # file line of each row, blank lines counted
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -85,15 +86,16 @@ def read_field(path: str | Path) -> SpaceTimeField:
             dates.append(t)
             blocks.append([])
             site_blocks.append([])
+            line_blocks.append([])
         blocks[-1].append(value)
         site_blocks[-1].append(coord)
+        line_blocks[-1].append(lineno)
 
     if not dates:
         raise FieldFormatError(f"{path}: no data rows")
     first_sites = site_blocks[0]
     n_sites = len(first_sites)
-    running = 1  # header line
-    for b, (t, sites_b) in enumerate(zip(dates, site_blocks)):
+    for t, sites_b, lines_b in zip(dates, site_blocks, line_blocks):
         if len(sites_b) != n_sites:
             raise FieldFormatError(
                 f"{path}: date {t} has {len(sites_b)} rows, expected {n_sites}"
@@ -101,7 +103,7 @@ def read_field(path: str | Path) -> SpaceTimeField:
         if sites_b != first_sites:
             bad = next(i for i, (p, q) in enumerate(zip(sites_b, first_sites)) if p != q)
             raise FieldFormatError(
-                f"{path}: line {running + b * n_sites + bad + 1}: site coordinates "
+                f"{path}: line {lines_b[bad]}: site coordinates "
                 "differ from the first date block"
             )
     if any(b <= a for a, b in zip(dates, dates[1:])):

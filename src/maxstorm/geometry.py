@@ -22,7 +22,6 @@ __all__ = [
     "SiteSet",
     "rotation_matrix",
     "unit_vector",
-    "cross_product_matrix",
     "square_grid",
     "fibonacci_sphere",
 ]

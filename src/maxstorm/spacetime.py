@@ -19,26 +19,24 @@ telescope across consecutive dates.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, ResourceError, ValidationError
+from .errors import CapabilityError, ValidationError
 from .geometry import RotationSpec, SiteSet, rotation_matrix
 from .point_process import STORM_CAP, SeededStream
 from .spatial import (
-    SCHLATHER_MAX_SITES,
     SchlatherParams,
     SmithParams,
     VmfParams,
     _SCHLATHER_STORMS,
-    _log_schlather_envelope,
     _schlather_values,
     _smith_exponent,
     _smith_values,
     _vmf_values,
+    _warn_schlather_envelope,
 )
 
 __all__ = [
@@ -79,6 +77,17 @@ class MarkovParams:
         return np.array(self.tau, dtype=float)
 
 
+def _integer_dates(dates) -> np.ndarray:
+    """``dates`` as an integer array; a non-integral or non-finite date is rejected."""
+    dates = np.asarray(dates)
+    if dates.dtype.kind not in "iu":
+        dates = dates.astype(float)
+        bad = ~(np.isfinite(dates) & (dates == np.round(dates)))
+        if np.any(bad):
+            raise ValidationError(f"dates must be finite integers, got {float(dates[bad][0])!r}")
+    return dates.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class SpaceTimeField:
     """Values of a space-time field: one row per date, one column per site."""
@@ -89,7 +98,7 @@ class SpaceTimeField:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        dates = np.asarray(self.dates, dtype=int)
+        dates = _integer_dates(self.dates)
         values = np.asarray(self.values, dtype=float)
         if dates.ndim != 1 or dates.size == 0:
             raise ValidationError("dates must be a non-empty 1-d integer array")
@@ -159,7 +168,7 @@ def _innovation(
     if isinstance(spatial, SmithParams):
         return _smith_values(coords, spatial, stream.generator(), STORM_CAP)
     if isinstance(spatial, SchlatherParams):
-        values, meta = _schlather_values(coords, spatial, stream, n_storms, logging.DEBUG)
+        values, meta = _schlather_values(coords, spatial, stream, n_storms)
         return values, int(meta["n_storms"]), int(meta["n_storm_evals"])
     if isinstance(spatial, VmfParams):
         return _vmf_values(coords, spatial, stream.generator(), STORM_CAP)
@@ -187,19 +196,11 @@ def _simulate_markov(
     entry_coords = _entry_coords(site_set, n_dates, spatial, markov)
     m = len(site_set)
     a = markov.a
-    if isinstance(spatial, SchlatherParams):
-        distinct = np.unique(entry_coords, axis=0).shape[0]
-        if distinct > SCHLATHER_MAX_SITES:
-            raise ResourceError(
-                f"enlarged site set has {distinct} distinct points, above the "
-                f"dense-Cholesky cap {SCHLATHER_MAX_SITES}; reduce n_dates or "
-                "the grid, or switch to Smith innovations"
-            )
-        _log_schlather_envelope(distinct, logging.WARNING)
 
     out = np.empty((n_dates, m))
     # Stationary start: the first date is one innovation draw on the full
-    # enlarged set, so the chain needs no burn-in.
+    # enlarged set, so the chain needs no burn-in, and a Schlather draw there
+    # checks the distinct-site cap before any later date is drawn.
     state, n_used, n_evals = _innovation(entry_coords, spatial, stream.child(0), n_storms)
     storm_counts = [n_used]
     eval_counts = [n_evals]
@@ -213,6 +214,8 @@ def _simulate_markov(
         eval_counts.append(n_evals)
         state = np.maximum(a * state[m:], (1.0 - a) * z)
         out[i] = state[:m]
+    if isinstance(spatial, SchlatherParams):
+        _warn_schlather_envelope()
 
     meta = {
         "n_storms_per_date": tuple(storm_counts),
@@ -290,7 +293,7 @@ def truncated_moving_max(
     """
     if J < 0:
         raise ValidationError(f"J must be >= 0, got {J}")
-    dates = np.asarray(dates, dtype=int)
+    dates = _integer_dates(dates)
     if dates.ndim != 1 or dates.size == 0 or np.any(np.diff(dates) <= 0):
         raise ValidationError("dates must be a non-empty strictly increasing array")
     entry_coords = _entry_coords(sites, J + 1, spatial, markov)
@@ -314,6 +317,8 @@ def truncated_moving_max(
             t_row = int(np.searchsorted(dates, s + j))
             contrib = weights[j] * z[pos * m : (pos + 1) * m]
             np.maximum(out[t_row], contrib, out=out[t_row])
+    if isinstance(spatial, SchlatherParams):
+        _warn_schlather_envelope()
     meta = {
         "J": int(J),
         "truncation_mass": a ** (J + 1),

@@ -416,23 +416,14 @@ def correlation_powered_exponential(h: float | np.ndarray, params: SchlatherPara
     return float(out) if out.ndim == 0 else out
 
 
-_envelope_warned: set[int] = set()
-
-
-def _log_schlather_envelope(n_sites: int, level: int | None) -> None:
-    # Direct draws (level None) warn once per site count, for readable replicate
-    # loops; a recursion warns once per call and logs each date at DEBUG.
-    p_exceed = float(n_sites) * float(ndtr(-SCHLATHER_B_MAX))
-    if level is None:
-        level = logging.WARNING if n_sites not in _envelope_warned else logging.DEBUG
-        _envelope_warned.add(n_sites)
-    logger.log(
-        level,
-        "Schlather stopping envelope b_max=%.3g on %d sites: per-storm "
-        "P(sup eps > b_max) <= %.3g; margins are approximate",
+def _warn_schlather_envelope() -> None:
+    # One warning per public Schlather call; each draw logs its own bound at
+    # DEBUG (in _schlather_values).
+    logger.warning(
+        "Schlather stopping envelope b_max=%.3g: per-storm P(sup eps > b_max) "
+        "<= %.3g per distinct site; margins are approximate",
         SCHLATHER_B_MAX,
-        n_sites,
-        p_exceed,
+        float(ndtr(-SCHLATHER_B_MAX)),
     )
 
 
@@ -468,28 +459,35 @@ def simulate_schlather(
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_schlather requires planar sites")
-    values, meta = _schlather_values(np.asarray(sites.coords), params, stream, n_storms, None)
+    values, meta = _schlather_values(np.asarray(sites.coords), params, stream, n_storms)
+    _warn_schlather_envelope()
     return SpatialField(sites, values, meta)
 
 
 def _schlather_values(
-    coords: np.ndarray, params: SchlatherParams, stream: SeededStream, n_storms: int, level: int | None
+    coords: np.ndarray, params: SchlatherParams, stream: SeededStream, n_storms: int
 ) -> tuple[np.ndarray, dict]:
-    """:func:`simulate_schlather` on planar ``coords``; ``level`` as in :func:`_log_schlather_envelope`."""
+    """One Schlather draw on planar ``coords``, the kernel of every Schlather simulator."""
     if n_storms < 1:
         raise ValidationError(f"n_storms must be >= 1, got {n_storms}")
     unique, inverse = np.unique(coords, axis=0, return_inverse=True)
     k = unique.shape[0]
     if k > SCHLATHER_MAX_SITES:
         raise ResourceError(
-            f"{k} distinct sites exceed the dense-Cholesky cap "
-            f"{SCHLATHER_MAX_SITES}; thin the site set or use the Smith model"
+            f"{k} distinct sites exceed the dense-Cholesky cap {SCHLATHER_MAX_SITES}; "
+            "thin the sites, shorten the record or use the Smith model"
         )
     dist = np.linalg.norm(unique[:, None, :] - unique[None, :, :], axis=-1)
     corr = correlation_powered_exponential(dist, params)
     np.fill_diagonal(corr, 1.0)
     chol = _cholesky_with_jitter(corr, unique)
-    _log_schlather_envelope(k, level)
+    logger.debug(
+        "Schlather stopping envelope b_max=%.3g on %d sites: per-storm "
+        "P(sup eps > b_max) <= %.3g",
+        SCHLATHER_B_MAX,
+        k,
+        k * float(ndtr(-SCHLATHER_B_MAX)),
+    )
 
     def fold(rng: np.random.Generator, u: np.ndarray, values: np.ndarray) -> int:
         eps = chol @ rng.standard_normal(size=(k, u.size))

@@ -35,7 +35,6 @@ __all__ = [
     "StudySummaryRow",
     "StudyResult",
     "run_study",
-    "worker_count",
 ]
 
 logger = logging.getLogger(__name__)

@@ -30,7 +30,6 @@ from maxstorm import (
     pool_madograms,
     read_field,
     run_study,
-    sample_integer_poisson,
     simulate_markov_planar,
     simulate_smith,
     simulate_vmf_field,
@@ -258,20 +257,18 @@ def test_08_single_date_slices_match_direct_simulation():
 
 
 def test_09_integer_count_sampler_margins_and_independence():
-    # Counts per integer are unit-mean Poisson within 0.02 at k in
-    # {0, 1, 2} over 10^4 draws; counts on disjoint ranges drawn from
-    # sibling streams are uncorrelated (|corr| < 0.05).
-    sample = sample_integer_poisson(SeededStream(141421), 0, 9999)
-    draws = np.array([sample.counts[k] for k in range(10000)])
+    # Poisson(1) counts drawn from a seeded stream, one per integer, are
+    # unit-mean Poisson within 0.02 at k in {0, 1, 2} over 10^4 draws;
+    # counts on disjoint ranges drawn from sibling streams are uncorrelated
+    # (|corr| < 0.05).
+    draws = SeededStream(141421).generator().poisson(1.0, size=10000)
     for k in (0, 1, 2):
         pmf = math.exp(-1.0) / math.factorial(k)
         assert abs(np.mean(draws == k) - pmf) <= 0.02
 
     root = SeededStream(173205)
-    low = sample_integer_poisson(root.child(0), 0, 1999)
-    high = sample_integer_poisson(root.child(1), 2000, 3999)
-    va = np.array([low.counts[k] for k in range(2000)])
-    vb = np.array([high.counts[k] for k in range(2000, 4000)])
+    va = root.child(0).generator().poisson(1.0, size=2000)
+    vb = root.child(1).generator().poisson(1.0, size=2000)
     assert abs(np.corrcoef(va, vb)[0, 1]) < 0.05
 
 

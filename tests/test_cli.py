@@ -272,27 +272,47 @@ def test_simulate_negative_site_count_exits_with_validation_code(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "ini",
+    "ini, fragment",
     [
-        SIM_INI.replace("n_dates = 4", "n_dates = 0"),
-        SIM_INI.replace("n_dates = 4", "n_dates = -2"),
-        SCHLATHER_TOO_LARGE_INI.replace("n_side = 20", "n_side = 3") + "n_storms = 0\n",
+        (SIM_INI.replace("n_dates = 4", "n_dates = 0"), "must be >= 1"),
+        (SIM_INI.replace("n_dates = 4", "n_dates = -2"), "must be >= 1"),
+        (
+            SCHLATHER_TOO_LARGE_INI.replace("n_side = 20", "n_side = 3") + "n_storms = 0\n",
+            "must be >= 1",
+        ),
+        (SIM_INI.replace("seed = 424242", "seed = -5"), "[run] seed must be >= 0"),
+        (
+            SIM_INI.replace("seed = 424242", "seed = -5").replace(
+                "layout = grid\nn_side = 4", "layout = uniform\nn_sites = 4"
+            ),
+            "[run] seed must be >= 0",
+        ),
     ],
-    ids=["no dates", "negative dates", "schlather without storms"],
+    ids=[
+        "no dates",
+        "negative dates",
+        "schlather without storms",
+        "negative seed",
+        "negative seed with uniform sites",
+    ],
 )
-def test_simulate_without_dates_or_storms_writes_no_directory(tmp_path, capsys, ini):
+def test_simulate_without_dates_or_storms_writes_no_directory(tmp_path, capsys, ini, fragment):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(ini, encoding="utf-8")
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "n_dates, n_sites", [(6, -3), (6, 1), (1, 6)], ids=["negative sites", "one site", "one date"]
+    "n_dates, n_sites, seed",
+    [(6, -3, 31), (6, 1, 31), (1, 6, 31), (6, 6, -4)],
+    ids=["negative sites", "one site", "one date", "negative seed"],
 )
-def test_mc_study_without_pairs_fails_before_any_replicate(tmp_path, monkeypatch, n_dates, n_sites):
+def test_mc_study_without_pairs_fails_before_any_replicate(
+    tmp_path, monkeypatch, n_dates, n_sites, seed
+):
     ran = []
     monkeypatch.setattr(study_module, "_one_replicate", lambda *args: ran.append(args) or [])
     ini = SIM_INI + f"""
@@ -300,7 +320,7 @@ def test_mc_study_without_pairs_fails_before_any_replicate(tmp_path, monkeypatch
 replicates = 2
 n_dates = {n_dates}
 n_sites = {n_sites}
-seed = 31
+seed = {seed}
 """
     cfg = tmp_path / "study.ini"
     cfg.write_text(ini, encoding="utf-8")

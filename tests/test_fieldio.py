@@ -60,6 +60,8 @@ def test_rewrite_of_read_field_is_identical_bytes(tmp_path, smith_identity, mark
             ["t,x1,x2,value", "1,0.0,0.0,1.0", "1,1.0,0.0,1.0", "2,0.0,0.0,1.0", "2,9.0,9.0,1.0"],
             "site",
         ),
+        # A blank line still counts: the bad row is the file's sixth line.
+        (["t,x1,x2,value", "1,0,0,1", "", "1,1,0,1", "2,0,0,1", "2,2,0,1"], "line 6:"),
     ],
 )
 def test_malformed_files_are_rejected_with_location(tmp_path, lines, fragment):

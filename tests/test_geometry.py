@@ -12,6 +12,7 @@ from maxstorm import (
     fibonacci_sphere,
     rotation_matrix,
     square_grid,
+    unit_vector,
 )
 
 
@@ -85,6 +86,17 @@ class TestSiteSets:
     def test_sphere_rejects_non_unit_vectors(self):
         with pytest.raises(ValidationError):
             SiteSet.sphere(np.array([[1.0, 1.0, 1.0]]))
+
+    def test_unit_vector_renormalizes_what_the_sphere_rejects(self):
+        v = unit_vector([1.0, 1.0, 1.0])
+        np.testing.assert_allclose(v, np.full(3, 3.0 ** -0.5), rtol=1e-15)
+        assert len(SiteSet.sphere(v[None, :])) == 1
+        RotationSpec(0.1, tuple(unit_vector([0.0, 3.0, 4.0])))
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_unit_vector_rejects_zero_and_non_finite_input(self, v):
+        with pytest.raises(ValidationError):
+            unit_vector(v)
 
     def test_nonfinite_coordinates_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,9 @@
-"""Seeded streams and the integer-time Poisson sampler."""
+"""Seeded streams."""
 
 import numpy as np
+import pytest
 
-from maxstorm import SeededStream, sample_integer_poisson
+from maxstorm import SeededStream, ValidationError
 
 
 class TestSeededStream:
@@ -32,28 +33,10 @@ class TestSeededStream:
         assert a == b
         assert a != root.child(2).child(1).generator().uniform()
 
-
-class TestIntegerPoisson:
-    def test_single_integer_pmf(self):
-        draws = np.array([
-            sample_integer_poisson(SeededStream(i), 0, 0).counts[0] for i in range(10000)
-        ])
-        for k, pmf in ((0, np.exp(-1.0)), (1, np.exp(-1.0)), (2, np.exp(-1.0) / 2)):
-            assert abs(np.mean(draws == k) - pmf) < 0.02
-
-    def test_range_total_is_poisson_sum(self):
-        totals = [
-            sum(sample_integer_poisson(SeededStream(70000 + i), 0, 9).counts.values())
-            for i in range(10000)
-        ]
-        mean = np.mean(totals)
-        se = np.std(totals, ddof=1) / np.sqrt(len(totals))
-        assert abs(mean - 10.0) <= 3 * se
-
-    def test_empty_interval_yields_empty_sample(self):
-        assert sample_integer_poisson(SeededStream(1), 5, 4).counts == {}
-
-    def test_deterministic_per_stream(self):
-        a = sample_integer_poisson(SeededStream(42), -3, 3).counts
-        b = sample_integer_poisson(SeededStream(42), -3, 3).counts
-        assert a == b
+    @pytest.mark.parametrize(
+        "args", [(-1,), (1, -2), (1, 0, (3, -1))], ids=["seed", "stream_id", "path"]
+    )
+    def test_negative_keys_are_rejected_at_construction(self, args):
+        # numpy would raise its own ValueError only when the generator is made.
+        with pytest.raises(ValidationError, match="non-negative"):
+            SeededStream(*args)

@@ -8,11 +8,13 @@ import pytest
 from maxstorm import (
     CapabilityError,
     MarkovParams,
+    ResourceError,
     RotationSpec,
     SchlatherParams,
     SeededStream,
     SiteSet,
     SmithParams,
+    SpaceTimeField,
     ValidationError,
     VmfParams,
     fibonacci_sphere,
@@ -24,6 +26,19 @@ from maxstorm import (
     truncated_moving_max,
 )
 from maxstorm.spacetime import _innovation
+
+
+class TestSpaceTimeField:
+    def test_integer_valued_float_dates_are_kept(self, one_site):
+        field = SpaceTimeField(one_site, [1.0, 2.0], np.ones((2, 1)))
+        assert field.dates.dtype.kind == "i"
+        np.testing.assert_array_equal(field.dates, [1, 2])
+
+    @pytest.mark.parametrize("dates", [[1.5, 2.7], [1.0, np.nan], [1.0, np.inf]])
+    def test_non_integral_or_non_finite_dates_are_rejected(self, one_site, dates):
+        # A cast would silently store [1, 2] for [1.5, 2.7].
+        with pytest.raises(ValidationError, match="finite integers"):
+            SpaceTimeField(one_site, dates, np.ones((2, 1)))
 
 
 class TestMarkovParams:
@@ -109,6 +124,16 @@ class TestPlanarRecursion:
             assert len(warnings) == 1
             assert [r.levelno for r in envelope].count(logging.DEBUG) == 10
 
+    def test_schlather_recursion_above_the_site_cap_raises(self, caplog):
+        # 400 sites shifted to 11 dates give 4,400 distinct entries.  The
+        # first date's draw runs on all of them and stops before any storm.
+        mk = MarkovParams(0.7, tau=(0.37, 0.11))
+        with caplog.at_level(logging.DEBUG, logger="maxstorm.spatial"):
+            with pytest.raises(ResourceError, match="4400 distinct sites") as err:
+                simulate_markov_planar(square_grid(20), 11, SchlatherParams(3.0, 1.0), mk, SeededStream(7))
+        assert "thin the sites, shorten the record or use the Smith model" in str(err.value)
+        assert caplog.records == []
+
     def test_storm_evaluations_are_local(self, smith_identity, markov_standard):
         # The study's first record at seed 1, lengthened to 30 dates: at date
         # 0 a dense loop would evaluate every storm at all 600 entries.
@@ -189,6 +214,18 @@ class TestTruncatedMovingMax:
         assert out.meta["J"] == 50
         assert out.meta["truncation_mass"] == pytest.approx(0.7 ** 51, rel=1e-12)
         assert out.meta["n_storms_total"] > 0
+
+    def test_dates_must_be_integral(self, one_site, smith_identity, markov_standard):
+        with pytest.raises(ValidationError, match="finite integers"):
+            truncated_moving_max(one_site, [0.5, 1.0], smith_identity, markov_standard, 2, SeededStream(1))
+        as_floats = truncated_moving_max(
+            one_site, np.array([0.0, 1.0, 2.0]), smith_identity, markov_standard, 2, SeededStream(1)
+        )
+        as_ints = truncated_moving_max(
+            one_site, np.arange(3), smith_identity, markov_standard, 2, SeededStream(1)
+        )
+        np.testing.assert_array_equal(as_floats.dates, as_ints.dates)
+        np.testing.assert_array_equal(as_floats.values, as_ints.values)
 
     def test_damping_weights_sum_to_marginal_scale(self):
         # Partial sums sum(a^j (1-a), j<=J) = 1 - a^{J+1}.

@@ -1,5 +1,6 @@
 """Spatial innovation models: storm shapes, simulators, exponent functions."""
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,15 @@ class TestSchlather:
             out = simulate_schlather(grid, SchlatherParams(1.0, 1.0), SeededStream(8), n_storms)
             assert out.meta["n_storms"] == n_storms
             assert out.meta["stopped_early"] is False
+
+    def test_each_direct_call_warns_once(self, one_site, caplog):
+        # The warning must not depend on what ran before in the process.
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="maxstorm.spatial"):
+                simulate_schlather(one_site, SchlatherParams(3.0, 1.0), SeededStream(5), 10)
+            levels = [r.levelno for r in caplog.records if "stopping envelope" in r.getMessage()]
+            assert sorted(levels) == [logging.DEBUG, logging.WARNING]
 
     def test_duplicated_sites_share_values(self):
         sites = SiteSet.planar(np.array([[1.0, 1.0], [1.0, 1.0]]))
