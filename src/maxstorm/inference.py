@@ -25,8 +25,10 @@ optionally weighted, over the pairs of observation ``(t_i, x_k)`` with
 table's set of date pairs: ``i < j`` for the space-time table, ``i == j``
 for the same-date one.  One builder crosses either set with the site pairs;
 a same-date pair has temporal weight 1.  The parameter-free parts of every
-term are prepared once per dataset, and ``h`` and ``a**l`` once per distinct
-(lag, site pair).  The table's lags, not the caller, decide what the
+term are prepared once per dataset, the site offsets as contiguous columns,
+and ``h`` and ``a**l`` once per distinct (lag, site pair).  One minimum over
+the terms finds a NaN or a term below the density floor; only then are they
+located and counted.  The table's lags, not the caller, decide what the
 parameters act on: every row of the same-date table has lag 0, so
 ``a**0 = 1``, the offset is ``dx`` and the objective is a function of the
 covariance alone, the same bits at every ``(a, tau)``.
@@ -43,7 +45,8 @@ about ``tau``, and it scores all 244 of its points in one batched kernel
 call; the refinement and the reported log likelihood use every term.  One
 blockwise map takes each free block onto all of R^k (log-Cholesky for the
 covariance, logit for ``a``, identity for ``tau``); a held block is copied
-as it is, so scheme 1 keeps its covariance estimate bit for bit.  Each start
+as it is, so scheme 1 keeps its covariance estimate bit for bit, and a stage
+maps them straight to ``(Sigma, a, tau)``, with no :class:`ThetaVector`.  Each start
 is refined by scipy's Nelder-Mead, derivative-free and bounded by an
 evaluation budget; a run that converges within its budget is polished by
 scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 1995) on the
@@ -240,7 +243,8 @@ class _PreparedPairs:
     ``log_jac = -2 log z1 - log z2``.  ``row`` maps each term to its entry in the
     table of distinct (lag, site pair) combinations among the kept terms;
     ``lag`` and the site offset ``dx`` are per table row, and they are all
-    that the parameters act on.
+    that the parameters act on; the kernel reads ``dx`` as ``dx_cols``, its
+    two columns as contiguous rows.
     """
 
     z1: np.ndarray
@@ -253,6 +257,7 @@ class _PreparedPairs:
     row: np.ndarray
     lag: np.ndarray
     dx: np.ndarray
+    dx_cols: np.ndarray
 
     @property
     def n_terms(self) -> int:
@@ -291,6 +296,7 @@ def _prepared_pairs(
         row=row,
         lag=lag[used],
         dx=dx[used],
+        dx_cols=np.ascontiguousarray(dx[used].T),
     )
 
 
@@ -316,9 +322,11 @@ def _log_pair_density(
     the first partials, so no difference of large numbers is formed at
     small ``h``.  Each term costs one ``exp``, two ``ndtr`` and one
     ``log``; everything per row is computed once on the table and
-    gathered.  Rows with ``h`` below ``H_COMPLETE_DEP`` lie on the moving
-    frame and take the complete-dependence branch; there, a same-date row
-    has coincident sites and no density.  The floor applies last.
+    gathered, ``h`` from the three entries of ``Sigma^{-1}``.  Rows with
+    ``h`` below ``H_COMPLETE_DEP`` lie on the moving frame and take the
+    complete-dependence branch; there, a same-date row has coincident sites
+    and no density.  The floor applies last: only a chunk whose smallest
+    term is NaN or below it has its NaN located and its floored terms counted.
 
     Yields ``(c, logf, n_floored)`` per chunk of candidates ``c``: one row of
     floored terms and one count per candidate, overwritten by the next chunk.
@@ -346,25 +354,39 @@ def _log_pair_density(
     row = (pairs.row + n_rows * np.arange(per)[:, None]).ravel() if per > 1 else pairs.row
     terms = (pairs.log_ratio, pairs.inv_z1, pairs.inv_z2, pairs.log_jac)
     log_ratio, inv_z1, inv_z2, log_jac = (np.tile(x, per) for x in terms) if per > 1 else terms
-    sigma_inv = sigma.sigma_inv
+    # The entries of sigma.sigma_inv, as scalars.
+    det = sigma.det
+    q11, q12, q22 = sigma.sigma22 / det, -sigma.sigma12 / det, sigma.sigma11 / det
     # math.log, not np.log: its bits are those of one scalar a.
     log_a = np.array(list(map(math.log, a.tolist())))
     buffer = np.empty(per * n_terms)
     work = np.empty((9, width))
-    full_rows = tuple(work)
     for c0 in range(0, k, per):
         c = slice(c0, min(c0 + per, k))
         # One candidate is indexed as a scalar, so its per-row arrays stay 1-d.
-        at = c0 if per == 1 else (c, None)
-        offsets = pairs.dx - pairs.lag[:, None] * tau[at]
-        h = _mahalanobis(offsets, sigma_inv)
-        alag = a[at] ** pairs.lag
+        if per == 1:
+            at, dx, tau_at = c0, pairs.dx_cols, tau[c0, :, None]
+        else:
+            at, dx, tau_at = (c, None), pairs.dx_cols[:, None], tau[c].T[:, :, None]
+        # h as spatial._mahalanobis forms it from the offsets dx - lag*tau.
+        o1, o2 = dx - pairs.lag * tau_at
+        h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, 0.0))
         degenerate = h < H_COMPLETE_DEP
-        h[degenerate] = 1.0
-        inv_h = 1.0 / h
-        c_over_h = pairs.lag * log_a[at] * inv_h
-        per_row = np.array([inv_h, 0.5 * h - c_over_h, 0.5 * h + c_over_h, alag, 1.0 - alag])
-        per_row = per_row.reshape(5, -1)
+        any_degenerate = np.count_nonzero(degenerate) > 0
+        if any_degenerate:
+            h[degenerate] = 1.0
+        # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag.
+        per_row = np.empty((5, h.size))
+        inv_h, w0, v0, alag, residual = per_row.reshape(5, *h.shape)
+        np.divide(1.0, h, inv_h)
+        # 1 - a**lag holds c/h until a**lag is known.
+        np.multiply(pairs.lag, log_a[at], residual)
+        residual *= inv_h
+        np.multiply(h, 0.5, w0)
+        np.add(w0, residual, v0)
+        w0 -= residual
+        np.power(a[at], pairs.lag, alag)
+        np.subtract(1.0, alag, residual)
         logf = buffer[: (c.stop - c0) * n_terms]
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, logf.size, width):
@@ -375,13 +397,12 @@ def _log_pair_density(
                 # index is valid); w and v still lack their log(z2/z1)/h part.
                 # The steps keep the operand order of the whole-array formula.
                 per_row.take(row[t], 1, chunk[:5], "clip")
-                rows9 = full_rows if out.size == width else tuple(chunk)
-                inv_h_t, w, v, alag_t, residual_t, cdf_w, s_over_z2, pdf_w_over_h, tmp = rows9
+                inv_h_t, w, v, alag_t, residual_t, cdf_w, s_over_z2, pdf_w_over_h, tmp = chunk
                 np.multiply(log_ratio[t], inv_h_t, tmp)
                 w += tmp
                 v -= tmp
-                ndtr(w, cdf_w)
-                ndtr(v, s_over_z2)
+                # Phi(w) and Phi(v) in one call: rows w, v feed rows cdf_w, s_over_z2.
+                ndtr(chunk[1:3], chunk[5:7])
                 s_over_z2 *= alag_t
                 s_over_z2 += residual_t
                 s_over_z2 *= inv_z2[t]
@@ -428,12 +449,11 @@ def _log_pair_density(
                 d_h *= pdf_w_over_h
                 d_h /= inv_h_t
 
-        degenerate = degenerate.ravel()
-        if degenerate.any():
+        if any_degenerate:
             # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W
             # independent Frechet, so the absolutely continuous part is a
             # product on z2 > a**l z1 and zero at or below the singular line.
-            idx = np.flatnonzero(degenerate[row[: logf.size]])
+            idx = np.flatnonzero(degenerate.ravel()[row[: logf.size]])
             rows, term = row[idx], idx % n_terms
             if not pairs.lag[rows % n_rows].all():
                 bad = f"same-date pair {term[0]} has coincident sites under this covariance"
@@ -455,16 +475,19 @@ def _log_pair_density(
                 partials[1, idx] = alag * pairs.inv_z2[term] - alag / residual
 
         logf = logf.reshape(-1, n_terms)
-        nan = np.isnan(logf)
-        if nan.any():
-            i, bad = np.argwhere(nan)[0]
-            raise NumericalError(f"log density is NaN at pair index {bad} of candidate {c0 + i}")
-        low = logf < _LOG_FLOOR
-        # A flat count_nonzero per candidate: an axis count casts every flag.
-        n_floored = [np.count_nonzero(row_low) for row_low in low]
-        if partials is not None:
-            partials[:, low[0]] = 0.0
-        np.maximum(logf, _LOG_FLOOR, out=logf)
+        # One pass finds a NaN (np.minimum propagates it) or a term below the floor.
+        n_floored = [0] * len(logf)
+        if not np.minimum.reduce(logf, axis=None) >= _LOG_FLOOR:
+            nan = np.isnan(logf)
+            if nan.any():
+                i, bad = np.argwhere(nan)[0]
+                raise NumericalError(f"log density is NaN at pair index {bad} of candidate {c0 + i}")
+            low = logf < _LOG_FLOOR
+            # A flat count_nonzero per candidate: an axis count casts every flag.
+            n_floored = [np.count_nonzero(row_low) for row_low in low]
+            if partials is not None:
+                partials[:, low[0]] = 0.0
+            np.maximum(logf, _LOG_FLOOR, out=logf)
         yield c, logf, n_floored
 
 
@@ -512,11 +535,20 @@ def bivariate_density(
     Times are canonicalized to ``t1 <= t2`` by swapping the points, which
     leaves the density unchanged.  A pair at identical date and site has no
     absolutely continuous law and raises :class:`DegeneratePairError`.
+    Values must be finite and positive, and dates and site coordinates
+    finite.
     """
-    if not (z1 > 0 and z2 > 0):
-        raise ValidationError(f"z1, z2 must be positive, got {z1!r}, {z2!r}")
+    for name, z in (("z1", z1), ("z2", z2)):
+        if not (math.isfinite(z) and z > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {z!r}")
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not math.isfinite(t):
+            raise ValidationError(f"{name} must be finite, got {t!r}")
     c1 = np.asarray(x1, dtype=float)
     c2 = np.asarray(x2, dtype=float)
+    for name, c in (("x1", c1), ("x2", c2)):
+        if not np.all(np.isfinite(c)):
+            raise ValidationError(f"{name} must have finite coordinates, got {c.tolist()!r}")
     if t1 > t2:
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1
@@ -916,16 +948,23 @@ def _stage_objective(
 ) -> Callable[..., float | tuple[float, np.ndarray]]:
     """Minus the objective of ``pairs`` over the free coordinates of the ``free`` blocks.
 
-    The held blocks keep their values in ``base``.  The objective is a value,
-    and with ``gradient=True`` a value and its gradient pulled back to the
-    free coordinates.
+    The held blocks keep their values in ``base``.  ``u`` maps straight to
+    ``(sigma, a, tau)`` with :class:`ThetaVector`'s checks and errors.  The
+    value, or with ``gradient=True`` also its gradient in the free coordinates.
     """
 
     def objective(u: np.ndarray, gradient: bool = False):
-        theta = ThetaVector.from_array(_from_free(u, base, free))
+        theta = _from_free(u, base, free)
+        s11, s12, s22, coef, tau1, tau2 = theta.tolist()
+        sigma = SmithParams(s11, s12, s22)
+        if not (math.isfinite(coef) and 0.0 < coef < 1.0):
+            raise ValidationError(f"a must lie strictly in (0, 1), got {coef!r}")
+        if not (math.isfinite(tau1) and math.isfinite(tau2)):
+            raise ValidationError(f"tau must be a finite 2-vector, got {(tau1, tau2)!r}")
+        a, tau = theta[3:4], theta[None, 4:]
         if not gradient:
-            return -_loglik_at(pairs, theta)
-        value, grad = _loglik_at(pairs, theta, gradient=True)
+            return -float(_eval_st_loglik(pairs, sigma, a, tau)[0])
+        value, grad = _eval_st_loglik(pairs, sigma, a, tau, gradient=True)
         return -value, -_free_gradient(u, grad, free)
 
     return objective

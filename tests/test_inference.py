@@ -1,6 +1,7 @@
 """Pair densities, composite likelihoods, transforms, and the optimizer."""
 
 import itertools
+import logging
 import math
 from functools import partial
 
@@ -123,6 +124,25 @@ class TestBivariateDensity:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValidationError):
             bivariate_density(0.0, 1.0, 0, 1, X1, X2, THETA0)
+
+    @pytest.mark.parametrize("name, z1, z2", [("z1", math.inf, 1.0), ("z2", 1.0, math.inf)])
+    def test_infinite_values_rejected(self, name, z1, z2):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            bivariate_density(z1, z2, 1, 2, X1, X2, THETA0)
+
+    @pytest.mark.parametrize(
+        "name, t1, t2", [("t1", math.nan, 1), ("t2", 0, math.inf), ("t1", -math.inf, 1)]
+    )
+    def test_non_finite_dates_rejected(self, name, t1, t2):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            bivariate_density(1.0, 2.0, t1, t2, X1, X2, THETA0)
+
+    @pytest.mark.parametrize(
+        "name, x1, x2", [("x1", [math.nan, 0.0], X2), ("x2", X1, [1.0, math.inf])], ids=["x1", "x2"]
+    )
+    def test_non_finite_site_coordinates_rejected(self, name, x1, x2):
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            bivariate_density(1.0, 2.0, 0, 1, np.array(x1), np.array(x2), THETA0)
 
 
 def _kernel_log_density(z1, z2, lag, h, a):
@@ -280,6 +300,37 @@ class TestCandidateStacks:
         assert np.array_equal(stacked, single)
         assert floored[frame_at] > 0
 
+    def test_floored_count_is_logged_per_candidate(self, caplog):
+        # Only the moving-frame candidate has terms below the floor; each
+        # such term's own density comes back as exactly the floor.
+        pairs = _st_table(self.DATA, None)
+        a, tau = np.array([0.5, 0.9]), np.array([[0.3, -0.2], [1.0, 0.0]])
+        theta = ThetaVector(1.0, 0.0, 1.0, 0.9, 1.0, 0.0)
+        coords, values, dates = np.asarray(self.DATA.sites.coords), self.DATA.values, self.DATA.dates
+        floor = math.exp(inference._LOG_FLOOR)
+        want = sum(
+            bivariate_density(
+                values[i, k], values[j, l], dates[i], dates[j], coords[k], coords[l], theta
+            ) == floor
+            for i, j in itertools.combinations(range(4), 2)
+            for k, l in itertools.combinations(range(9), 2)
+        )
+        assert want > 0
+        caplog.set_level(logging.DEBUG, logger="maxstorm.inference")
+        _eval_st_loglik(pairs, THETA0.smith, a, tau)
+        logged = [r.getMessage() for r in caplog.records if "floored" in r.getMessage()]
+        assert logged == [f"pairwise objective floored {want} of {pairs.n_terms} terms"]
+
+    @pytest.mark.parametrize("chunk", [8192, 2 * 216, 7])
+    def test_nan_candidate_is_named(self, chunk, monkeypatch):
+        monkeypatch.setattr(inference, "_TERM_CHUNK", chunk)
+        pairs = _st_table(self.DATA, None)
+        a = np.linspace(0.3, 0.8, 6)
+        tau = np.zeros((6, 2))
+        tau[3, 0] = math.nan
+        with pytest.raises(NumericalError, match="pair index 0 of candidate 3$"):
+            _eval_st_loglik(pairs, THETA0.smith, a, tau)
+
 
 def _random_theta(u):
     """A valid theta from six numbers in [0, 1]."""
@@ -435,6 +486,62 @@ class TestGradient:
                 pairs, THETA0.smith, np.array([0.5, 0.6]), np.zeros((2, 2)),
                 np.empty((2, pairs.n_terms)),
             ))
+
+
+class TestStageMap:
+    # The stage objective maps u straight to (Sigma, a, tau); the old route
+    # builds a ThetaVector from the theta of u.
+    DATA = _sim(43, n_dates=5, n_sites=5)
+
+    @staticmethod
+    def _old_route(pairs, base, free, u, gradient=False):
+        theta = ThetaVector.from_array(_from_free(u, base, free))
+        if not gradient:
+            return -_loglik_at(pairs, theta)
+        value, grad = _loglik_at(pairs, theta, gradient=True)
+        return -value, -_free_gradient(u, grad, free)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stage=st.sampled_from(sorted(_STAGES)),
+        unit=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        u=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    )
+    def test_value_and_gradient_match_the_theta_vector_route(self, stage, unit, u):
+        which, free = _STAGES[stage]
+        base = _random_theta(unit)
+        pairs = _tables(self.DATA)[which]
+        u = np.array(u[: _to_free(base, free).size])
+        objective = _stage_objective(pairs, base, free)
+        assert objective(u) == self._old_route(pairs, base, free, u)
+        value, grad = objective(u, gradient=True)
+        want_value, want_grad = self._old_route(pairs, base, free, u, gradient=True)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize(
+        "stage, u",
+        [
+            # exp(-800) underflows to 0, so sigma11 or sigma22 is 0.
+            ("scheme-1 covariance", [-800.0, 0.0, 0.3]),
+            ("scheme-1 covariance", [0.0, -800.0, 0.0]),
+            ("scheme-2 all six", [0.0, -800.0, 0.0, 0.5, 0.0, 0.0]),
+            ("scheme-1 (a, tau)", [0.5, math.inf, 0.0]),
+            ("scheme-1 (a, tau)", [0.5, 0.0, math.nan]),
+            ("scheme-1 (a, tau)", [math.nan, 0.0, 0.0]),
+            ("scheme-2 all six", [0.0, 0.0, 0.0, 0.5, -math.inf, 0.0]),
+        ],
+    )
+    def test_rejected_points_raise_on_both_routes(self, stage, u):
+        which, free = _STAGES[stage]
+        base = THETA0.as_array()
+        pairs = _tables(self.DATA)[which]
+        u = np.array(u)
+        for gradient in (False, True):
+            with pytest.raises(ValidationError):
+                self._old_route(pairs, base, free, u, gradient)
+            with pytest.raises(ValidationError):
+                _stage_objective(pairs, base, free)(u, gradient)
 
 
 class TestPairwiseLoglik:

@@ -21,7 +21,12 @@ changing any value.  ``fits`` hashes the ``FitReport``s
 of both schemes on six 4-site, 4-date records and two 6-site, 8-date
 records (study recipe, seed 1), with no cutoff, with ``max_time_lag=2``
 and with ``max_space_dist=5``, plus both log-likelihoods of one record under
-ten random ``PairWeights``.  ``cli`` hashes the files the commands write:
+ten random ``PairWeights``.  ``kernel`` hashes objective values on the
+same records, straight from ``inference._eval_st_loglik``: the start scan's
+batched call at its 244 candidates, the full space-time table at those
+candidates, and per record 50 seeded single candidates on the space-time
+and the same-date table, each as a value and as a value with its gradient.
+``cli`` hashes the files the commands write:
 ``field.csv`` and ``field_meta.json`` of a Smith, a Schlather and a vMF
 config, ``fit.json`` of both schemes, the ``dependence`` table, and
 ``replicates.csv``, ``summary.csv`` and ``study_meta.json`` of a
@@ -40,7 +45,7 @@ from unittest import mock
 import numpy as np
 
 import maxstorm as ms
-from maxstorm import study
+from maxstorm import inference, study
 from maxstorm.cli import main
 
 INI = """[model]\nkind = smith\nsigma11 = 1.0\nsigma12 = 0.2\nsigma22 = 1.5
@@ -141,29 +146,36 @@ def local_field(coords: np.ndarray, params: ms.SmithParams) -> tuple[str, int]:
 # (sites, dates, records) of the fitted records, and the cutoffs of each fit.
 FIT_RECORDS = ((4, 4, 6), (6, 8, 2))
 FIT_CUTOFFS = ({}, {"max_time_lag": 2.0}, {"max_space_dist": 5.0})
+FIT_INIT = ms.ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
 
 
-def fits() -> str:
-    h = hashlib.sha256()
+def fit_records() -> list[ms.SpaceTimeField]:
     truth = ms.ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
-    init = ms.ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+    out = []
     for n_sites, n_dates, records in FIT_RECORDS:
         for i in range(records):
             root = ms.SeededStream(1).child(i)
             coords = root.child(0).generator().uniform(0.0, 10.0, size=(n_sites, 2))
-            f = ms.simulate_markov_planar(
+            out.append(ms.simulate_markov_planar(
                 ms.SiteSet.planar(coords), n_dates, truth.smith, truth.markov, root.child(1)
-            )
-            for cutoff in FIT_CUTOFFS:
-                opts = ms.FitOptions(max_evals=300, **cutoff)
-                for fit in (ms.fit_scheme1, ms.fit_scheme2):
-                    h.update(repr(fit(f, init, opts)).encode())
+            ))
+    return out
+
+
+def fits() -> str:
+    h = hashlib.sha256()
+    for f in fit_records():
+        for cutoff in FIT_CUTOFFS:
+            opts = ms.FitOptions(max_evals=300, **cutoff)
+            for fit in (ms.fit_scheme1, ms.fit_scheme2):
+                h.update(repr(fit(f, FIT_INIT, opts)).encode())
     # The weighted log-likelihoods are of the last record.
     rng = np.random.default_rng(5)
     for _ in range(10):
         # Zeros drop pairs; the diagonal of temporal is random too.
         temporal, spatial = (
-            rng.uniform(0.0, 2.0, (k, k)) * (rng.random((k, k)) < 0.8) for k in (n_dates, n_sites)
+            rng.uniform(0.0, 2.0, (k, k)) * (rng.random((k, k)) < 0.8)
+            for k in (f.n_dates, f.n_sites)
         )
         temporal[0, 1] = spatial[0, 1] = 1.0
         weights = ms.PairWeights(temporal, spatial)
@@ -173,6 +185,44 @@ def fits() -> str:
         )
         h.update(np.float64(ms.pairwise_loglik(f, theta, weights)).tobytes())
         h.update(np.float64(ms.spatial_pairwise_loglik(f, theta.smith, weights)).tobytes())
+    return h.hexdigest()
+
+
+def kernel() -> str:
+    h = hashlib.sha256()
+    original = inference._eval_st_loglik
+    for i, f in enumerate(fit_records()):
+        n = f.n_dates
+        space_time = inference._prepare_pairs(f, None, np.triu_indices(n, 1))
+        same_date = inference._prepare_pairs(f, None, (np.arange(n),) * 2)
+        # The scan's one batched call, on its short-lag table, and the full
+        # table at the same 244 candidates.
+        calls = []
+
+        def recording(pairs, sigma, a, tau, gradient=False):
+            calls.append((sigma, a, tau))
+            values = original(pairs, sigma, a, tau, gradient)
+            h.update(values.tobytes())
+            return values
+
+        scan = inference._short_lag_pairs(space_time)
+        with mock.patch.object(inference, "_eval_st_loglik", recording):
+            inference._temporal_start_candidates(scan, FIT_INIT.as_array())
+        (sigma, a, tau), = calls
+        assert a.size == 244
+        h.update(original(space_time, sigma, a, tau).tobytes())
+        rng = np.random.default_rng(100 + i)
+        for _ in range(50):
+            theta = ms.ThetaVector(
+                rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
+                rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+            )
+            a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
+            for pairs in (space_time, same_date):
+                h.update(original(pairs, theta.smith, a, tau).tobytes())
+                value, grad = original(pairs, theta.smith, a, tau, gradient=True)
+                h.update(np.float64(value).tobytes())
+                h.update(grad.tobytes())
     return h.hexdigest()
 
 
@@ -247,4 +297,5 @@ if __name__ == "__main__":
         print(f"local {name}", digest)
         print(f"evals {name}", evals)
     print("fits", fits())
+    print("kernel", kernel())
     print("cli", cli())
