@@ -77,16 +77,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim = build_simulate_config(load_config(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stream = SeededStream(sim.seed)
-    if sim.kind == "vmf":
-        field = simulate_markov_sphere(
-            sim.sites, sim.n_dates, sim.spatial, sim.markov, stream
-        )
-    else:
-        field = simulate_markov_planar(
-            sim.sites, sim.n_dates, sim.spatial, sim.markov, stream,
-            n_storms=sim.n_storms,
-        )
+    simulate = simulate_markov_sphere if sim.kind == "vmf" else simulate_markov_planar
+    field = simulate(sim.sites, sim.n_dates, sim.spatial, sim.markov, SeededStream(sim.seed))
     field_path = write_field(field, out_dir / "field.csv")
     meta_path = write_meta(
         out_dir / "field_meta.json",

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .geometry import RotationSpec, SiteSet, fibonacci_sphere, square_grid
 from .inference import FitOptions, ThetaVector
 from .spacetime import MarkovParams
-from .spatial import _SCHLATHER_STORMS, SchlatherParams, SmithParams, VmfParams
+from .spatial import SchlatherParams, SmithParams, VmfParams
 
 __all__ = ["StudyConfig"]
 
@@ -56,7 +56,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "run": {
         "n_dates": "int",
         "seed": "int",
-        "n_storms": "int",
     },
     "fit": {
         "scheme": "int",
@@ -189,7 +188,6 @@ class SimulateConfig:
     sites: SiteSet
     n_dates: int
     seed: int
-    n_storms: int
 
     def echo(self) -> dict:
         d: dict = {
@@ -201,8 +199,6 @@ class SimulateConfig:
             "sites.kind": self.sites.kind,
         }
         d.update({f"model.{k}": v for k, v in asdict(self.spatial).items()})
-        if isinstance(self.spatial, SchlatherParams):
-            d["run.n_storms"] = self.n_storms
         if self.markov.tau is not None:
             d["temporal.tau"] = list(self.markov.tau)
         if self.markov.rotation is not None:
@@ -271,10 +267,6 @@ def build_simulate_config(cfg: dict) -> SimulateConfig:
     n_dates = _need(cfg, "run", "n_dates")
     if n_dates < 1:
         raise ValidationError(f"[run] n_dates must be >= 1, got {n_dates}")
-    # Only the Schlather model reads the storm cap.
-    n_storms = _get(cfg, "run", "n_storms", _SCHLATHER_STORMS)
-    if kind == "schlather" and n_storms < 1:
-        raise ValidationError(f"[run] n_storms must be >= 1, got {n_storms}")
     return SimulateConfig(
         kind=kind,
         spatial=spatial,
@@ -282,7 +274,6 @@ def build_simulate_config(cfg: dict) -> SimulateConfig:
         sites=_build_sites(cfg, kind, seed),
         n_dates=n_dates,
         seed=seed,
-        n_storms=n_storms,
     )
 
 

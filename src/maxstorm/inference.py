@@ -388,7 +388,9 @@ def _log_pair_density(
         np.power(a[at], pairs.lag, alag)
         np.subtract(1.0, alag, residual)
         logf = buffer[: (c.stop - c0) * n_terms]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # 1/Q and the partials built on it overflow only where Q is subnormal,
+        # a term far below the floor whose partials are zeroed below.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for start in range(0, logf.size, width):
                 t = slice(start, min(start + width, logf.size))
                 out = logf[t]
@@ -535,8 +537,8 @@ def bivariate_density(
     Times are canonicalized to ``t1 <= t2`` by swapping the points, which
     leaves the density unchanged.  A pair at identical date and site has no
     absolutely continuous law and raises :class:`DegeneratePairError`.
-    Values must be finite and positive, and dates and site coordinates
-    finite.
+    Values must be finite and positive, dates finite, and each site a
+    finite 2-vector.
     """
     for name, z in (("z1", z1), ("z2", z2)):
         if not (math.isfinite(z) and z > 0):
@@ -547,8 +549,8 @@ def bivariate_density(
     c1 = np.asarray(x1, dtype=float)
     c2 = np.asarray(x2, dtype=float)
     for name, c in (("x1", c1), ("x2", c2)):
-        if not np.all(np.isfinite(c)):
-            raise ValidationError(f"{name} must have finite coordinates, got {c.tolist()!r}")
+        if c.shape != (2,) or not np.all(np.isfinite(c)):
+            raise ValidationError(f"{name} must be a finite 2-vector, got {c.tolist()!r}")
     if t1 > t2:
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1

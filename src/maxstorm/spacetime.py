@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import CapabilityError, ValidationError
 from .geometry import RotationSpec, SiteSet, rotation_matrix
-from .point_process import STORM_CAP, SeededStream
+from .point_process import SeededStream
 from .spatial import (
     SchlatherParams,
     SmithParams,
     VmfParams,
-    _SCHLATHER_STORMS,
     _schlather_values,
     _smith_exponent,
     _smith_values,
@@ -155,24 +154,23 @@ def _entry_coords(
     )
 
 
+# The storm kernel of each innovation model.
+_KERNELS = {SmithParams: _smith_values, SchlatherParams: _schlather_values, VmfParams: _vmf_values}
+
+
 def _innovation(
     coords: np.ndarray,
     spatial: SmithParams | SchlatherParams | VmfParams,
     stream: SeededStream,
-    n_storms: int,
 ) -> tuple[np.ndarray, int, int]:
     """One innovation draw on ``coords``.
 
     Returns the values, the storms used and the storm-entry evaluations.
     """
-    if isinstance(spatial, SmithParams):
-        return _smith_values(coords, spatial, stream.generator(), STORM_CAP)
-    if isinstance(spatial, SchlatherParams):
-        values, meta = _schlather_values(coords, spatial, stream, n_storms)
-        return values, int(meta["n_storms"]), int(meta["n_storm_evals"])
-    if isinstance(spatial, VmfParams):
-        return _vmf_values(coords, spatial, stream.generator(), STORM_CAP)
-    raise ValidationError(f"unsupported innovation parameters {type(spatial).__name__}")
+    kernel = _KERNELS.get(type(spatial))
+    if kernel is None:
+        raise ValidationError(f"unsupported innovation parameters {type(spatial).__name__}")
+    return kernel(coords, spatial, stream.generator())
 
 
 def _simulate_markov(
@@ -181,7 +179,6 @@ def _simulate_markov(
     spatial: SmithParams | SchlatherParams | VmfParams,
     markov: MarkovParams,
     stream: SeededStream,
-    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Run the recursion on the enlarged site set of :func:`_entry_coords`.
 
@@ -201,15 +198,13 @@ def _simulate_markov(
     # Stationary start: the first date is one innovation draw on the full
     # enlarged set, so the chain needs no burn-in, and a Schlather draw there
     # checks the distinct-site cap before any later date is drawn.
-    state, n_used, n_evals = _innovation(entry_coords, spatial, stream.child(0), n_storms)
+    state, n_used, n_evals = _innovation(entry_coords, spatial, stream.child(0))
     storm_counts = [n_used]
     eval_counts = [n_evals]
     out[0] = state[:m]
     for i in range(1, n_dates):
         n_active = (n_dates - i) * m
-        z, n_used, n_evals = _innovation(
-            entry_coords[:n_active], spatial, stream.child(i), n_storms
-        )
+        z, n_used, n_evals = _innovation(entry_coords[:n_active], spatial, stream.child(i))
         storm_counts.append(n_used)
         eval_counts.append(n_evals)
         state = np.maximum(a * state[m:], (1.0 - a) * z)
@@ -230,8 +225,6 @@ def simulate_markov_planar(
     spatial: SmithParams | SchlatherParams,
     markov: MarkovParams,
     stream: SeededStream,
-    *,
-    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Simulate the planar max-autoregression on ``grid`` for ``n_dates`` dates.
 
@@ -247,12 +240,10 @@ def simulate_markov_planar(
         Coefficient ``a`` and translation ``tau``.
     stream : SeededStream
         Master stream; one child per date plus one for the start.
-    n_storms : int
-        Storm cap per innovation, Schlather only.
     """
     if grid.kind != "planar":
         raise ValidationError("simulate_markov_planar requires planar sites")
-    return _simulate_markov(grid, n_dates, spatial, markov, stream, n_storms)
+    return _simulate_markov(grid, n_dates, spatial, markov, stream)
 
 
 def simulate_markov_sphere(
@@ -280,8 +271,6 @@ def truncated_moving_max(
     markov: MarkovParams,
     J: int,
     stream: SeededStream,
-    *,
-    n_storms: int = _SCHLATHER_STORMS,
 ) -> SpaceTimeField:
     """Moving-maximum form of the stationary field, truncated at depth ``J``.
 
@@ -305,14 +294,14 @@ def truncated_moving_max(
     s_min = int(dates.min()) - J
     s_max = int(dates.max())
     date_set = set(int(t) for t in dates)
-    n_storms_total = 0
+    storms_total = 0
     for idx, s in enumerate(range(s_min, s_max + 1)):
         lags = [j for j in range(J + 1) if s + j in date_set]
         if not lags:
             continue
         rows = np.concatenate([np.arange(j * m, (j + 1) * m) for j in lags])
-        z, n_used, _ = _innovation(entry_coords[rows], spatial, stream.child(idx), n_storms)
-        n_storms_total += n_used
+        z, n_used, _ = _innovation(entry_coords[rows], spatial, stream.child(idx))
+        storms_total += n_used
         for pos, j in enumerate(lags):
             t_row = int(np.searchsorted(dates, s + j))
             contrib = weights[j] * z[pos * m : (pos + 1) * m]
@@ -322,7 +311,7 @@ def truncated_moving_max(
     meta = {
         "J": int(J),
         "truncation_mass": a ** (J + 1),
-        "n_storms_total": n_storms_total,
+        "n_storms_total": storms_total,
     }
     return SpaceTimeField(sites, dates, out, meta)
 

@@ -14,7 +14,8 @@ All three are one spectral construction: the pointwise maximum of
 ``P_i`` partial sums of unit exponentials.  One private kernel,
 :func:`_storm_maxima`, runs that loop for every model; a model supplies a
 per-block fold that draws its storms and folds them into the running
-maxima, and the shape supremum that makes the stopping rule sound.
+maxima, and the shape supremum that makes the stopping rule sound.  The
+kernel also holds the one storm cap, ``STORM_CAP``, of every model.
 
 Schlather and von Mises-Fisher storms are evaluated at every site.  Smith
 storms skip the sites whose running maximum no later storm can raise, which
@@ -85,8 +86,6 @@ SCHLATHER_MAX_SITES = 4000
 # Stopping envelope of the unbounded Schlather spectral functions: a storm
 # whose Gaussian process exceeds it somewhere may be cut off too early.
 SCHLATHER_B_MAX = 4.0
-# Default storm cap of a Schlather draw.
-_SCHLATHER_STORMS = 1000
 # Quadrature tolerances of smith_exponent_numeric.
 _QUAD_EPSABS = 1e-9
 _QUAD_EPSREL = 1e-7
@@ -232,7 +231,7 @@ def _storm_maxima(
     sup: float,
     limit: int,
     max_block: int = 65536,
-) -> tuple[np.ndarray, int, bool, float, int]:
+) -> tuple[np.ndarray, int, int]:
     """Running maximum of ``U_i * shape_i`` over a Poisson storm sequence.
 
     Intensities ``U_i = area / P_i`` are drawn in doubling blocks, each
@@ -246,17 +245,21 @@ def _storm_maxima(
     can raise an entry at or above that bump; once ``U_last * sup`` falls
     below the running minimum over entries, that holds for every entry and
     the loop stops.  Storms past the stopping index inside the final block
-    are legitimate points of the process, so applying them is harmless.  At
-    most ``limit`` storms are drawn.
+    are legitimate points of the process, so applying them is harmless.
 
-    Returns the values, the storms drawn, whether the stopping rule fired,
-    the last intensity drawn and the storm-entry evaluations made.
+    Every model draws under one cap, ``limit`` storms (``STORM_CAP`` unless
+    a test sets it): a draw that reaches it before the stopping rule fires
+    raises :class:`~maxstorm.errors.ResourceError`, since the storms it
+    left out could still raise some entry.  When the rule fires, every
+    value exceeds ``U_last * sup > 0``.
+
+    Returns the values, the storms drawn and the storm-entry evaluations
+    made.
     """
     values = np.zeros(n_entries)
     p_last = 0.0
     used = evals = 0
     block = 64
-    stopped = False
     while used < limit:
         b = min(block, limit - used)
         p = p_last + np.cumsum(rng.exponential(size=b))
@@ -265,10 +268,9 @@ def _storm_maxima(
         evals += fold(rng, u, values)
         used += b
         if u[-1] * sup < values.min():
-            stopped = True
-            break
+            return values, used, evals
         block = min(block * 2, max_block)
-    return values, used, stopped, area / p_last, evals
+    raise ResourceError(f"storm count reached the cap {limit} before the stopping rule fired")
 
 
 def _fold_dense(values: np.ndarray, u: np.ndarray, shapes: np.ndarray) -> int:
@@ -297,7 +299,7 @@ def _smith_values(
     coords: np.ndarray,
     params: SmithParams,
     rng: np.random.Generator,
-    cap: int,
+    cap: int = STORM_CAP,
 ) -> tuple[np.ndarray, int, int]:
     """Exact Smith sample at ``coords`` via windowed storm generation.
 
@@ -364,22 +366,10 @@ def _smith_values(
                 evals += block.size
         return evals
 
-    values, n_storms, stopped, _, evals = _storm_maxima(rng, n, fold, area, norm, cap)
-    if not stopped:
-        raise ResourceError(
-            f"storm count exceeded cap {cap} before the stopping rule fired "
-            f"(window area {area:.3g})"
-        )
-    return values, n_storms, evals
+    return _storm_maxima(rng, n, fold, area, norm, cap)
 
 
-def simulate_smith(
-    sites: SiteSet,
-    params: SmithParams,
-    stream: SeededStream,
-    *,
-    cap: int = STORM_CAP,
-) -> SpatialField:
+def simulate_smith(sites: SiteSet, params: SmithParams, stream: SeededStream) -> SpatialField:
     """Exact Smith-model sample restricted to a planar site set.
 
     Parameters
@@ -390,8 +380,6 @@ def simulate_smith(
         Storm-shape covariance.
     stream : SeededStream
         Randomness source; identical streams give identical fields.
-    cap : int
-        Hard limit on generated storms.
 
     Returns
     -------
@@ -401,10 +389,8 @@ def simulate_smith(
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_smith requires planar sites")
-    values, n_storms, evals = _smith_values(
-        np.asarray(sites.coords), params, stream.generator(), cap
-    )
-    return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
+    values, storms, evals = _smith_values(np.asarray(sites.coords), params, stream.generator())
+    return SpatialField(sites, values, {"n_storms": storms, "n_storm_evals": evals})
 
 
 def correlation_powered_exponential(h: float | np.ndarray, params: SchlatherParams) -> float | np.ndarray:
@@ -444,32 +430,35 @@ def _cholesky_with_jitter(corr: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def simulate_schlather(
-    sites: SiteSet,
-    params: SchlatherParams,
-    stream: SeededStream,
-    n_storms: int = _SCHLATHER_STORMS,
+    sites: SiteSet, params: SchlatherParams, stream: SeededStream
 ) -> SpatialField:
     """Approximate Schlather-model sample on a planar site set.
 
     Spectral functions are ``sqrt(2*pi) * eps`` with ``eps`` a standard
     Gaussian process; they are unbounded, so the stopping rule uses the
-    envelope ``SCHLATHER_B_MAX`` and the storm count is capped by ``n_storms``.
-    Duplicate sites are collapsed before the Cholesky factorization and
-    receive identical values.
+    envelope ``SCHLATHER_B_MAX``, and margins are approximate.  Duplicate
+    sites are collapsed before the Cholesky factorization and receive
+    identical values.
     """
     if sites.kind != "planar":
         raise ValidationError("simulate_schlather requires planar sites")
-    values, meta = _schlather_values(np.asarray(sites.coords), params, stream, n_storms)
+    values, storms, evals = _schlather_values(
+        np.asarray(sites.coords), params, stream.generator()
+    )
     _warn_schlather_envelope()
-    return SpatialField(sites, values, meta)
+    return SpatialField(sites, values, {"n_storms": storms, "n_storm_evals": evals})
 
 
 def _schlather_values(
-    coords: np.ndarray, params: SchlatherParams, stream: SeededStream, n_storms: int
-) -> tuple[np.ndarray, dict]:
-    """One Schlather draw on planar ``coords``, the kernel of every Schlather simulator."""
-    if n_storms < 1:
-        raise ValidationError(f"n_storms must be >= 1, got {n_storms}")
+    coords: np.ndarray,
+    params: SchlatherParams,
+    rng: np.random.Generator,
+    cap: int = STORM_CAP,
+) -> tuple[np.ndarray, int, int]:
+    """One Schlather draw on planar ``coords``, the kernel of every Schlather simulator.
+
+    Returns the values, the storms drawn and the storm-entry evaluations.
+    """
     unique, inverse = np.unique(coords, axis=0, return_inverse=True)
     k = unique.shape[0]
     if k > SCHLATHER_MAX_SITES:
@@ -493,16 +482,10 @@ def _schlather_values(
         eps = chol @ rng.standard_normal(size=(k, u.size))
         return _fold_dense(values, u, (SQRT_TWO_PI * np.clip(eps, 0.0, None)).T)
 
-    values, used, stopped_early, u_last, evals = _storm_maxima(
-        stream.generator(), k, fold, 1.0, SQRT_TWO_PI * SCHLATHER_B_MAX, n_storms, max_block=8192
+    values, storms, evals = _storm_maxima(
+        rng, k, fold, 1.0, SQRT_TWO_PI * SCHLATHER_B_MAX, cap, max_block=8192
     )
-    # A site every storm missed (all eps <= 0 there) would stay at zero;
-    # give it the largest value consistent with the stopping rule instead of
-    # emitting an invalid non-positive field.
-    floor = u_last * 1e-12
-    values = np.maximum(values, floor)
-    meta = {"n_storms": used, "stopped_early": stopped_early, "n_storm_evals": evals}
-    return values[inverse], meta
+    return values[inverse], storms, evals
 
 
 def _kappa_over_sinh(kappa: float) -> float:
@@ -542,7 +525,7 @@ def _vmf_values(
     coords: np.ndarray,
     params: VmfParams,
     rng: np.random.Generator,
-    cap: int,
+    cap: int = STORM_CAP,
 ) -> tuple[np.ndarray, int, int]:
     """Exact spherical storm sample; centers uniform, total rate 4*pi.
 
@@ -554,26 +537,17 @@ def _vmf_values(
         centers /= np.linalg.norm(centers, axis=1)[:, None]
         return _fold_dense(values, u, _vmf_shape(centers @ coords.T, params.kappa))
 
-    values, n_storms, stopped, _, evals = _storm_maxima(
+    return _storm_maxima(
         rng, coords.shape[0], fold, 4.0 * math.pi, vmf_density_bound(params), cap
     )
-    if not stopped:
-        raise ResourceError(f"storm count exceeded cap {cap} on the sphere")
-    return values, n_storms, evals
 
 
-def simulate_vmf_field(
-    sites: SiteSet,
-    params: VmfParams,
-    stream: SeededStream,
-    *,
-    cap: int = STORM_CAP,
-) -> SpatialField:
+def simulate_vmf_field(sites: SiteSet, params: VmfParams, stream: SeededStream) -> SpatialField:
     """Exact spherical innovation sample with von Mises-Fisher storm shapes."""
     if sites.kind != "sphere":
         raise ValidationError("simulate_vmf_field requires sphere sites")
-    values, n_storms, evals = _vmf_values(np.asarray(sites.coords), params, stream.generator(), cap)
-    return SpatialField(sites, values, {"n_storms": n_storms, "n_storm_evals": evals})
+    values, storms, evals = _vmf_values(np.asarray(sites.coords), params, stream.generator())
+    return SpatialField(sites, values, {"n_storms": storms, "n_storm_evals": evals})
 
 
 def smith_exponent_bivariate(z1: float, z2: float, h: float) -> float:

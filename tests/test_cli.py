@@ -278,7 +278,7 @@ def test_simulate_negative_site_count_exits_with_validation_code(tmp_path, capsy
         (SIM_INI.replace("n_dates = 4", "n_dates = -2"), "must be >= 1"),
         (
             SCHLATHER_TOO_LARGE_INI.replace("n_side = 20", "n_side = 3") + "n_storms = 0\n",
-            "must be >= 1",
+            "unknown key 'n_storms' in [run]",
         ),
         (SIM_INI.replace("seed = 424242", "seed = -5"), "[run] seed must be >= 0"),
         (

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -143,6 +144,13 @@ class TestBivariateDensity:
     def test_non_finite_site_coordinates_rejected(self, name, x1, x2):
         with pytest.raises(ValidationError, match=f"^{name} "):
             bivariate_density(1.0, 2.0, 0, 1, np.array(x1), np.array(x2), THETA0)
+
+    @pytest.mark.parametrize(
+        "x1", [0.0, [0.0, 0.0, 0.0], np.eye(2)], ids=["scalar", "three coordinates", "2x2"]
+    )
+    def test_site_must_be_a_two_vector(self, x1):
+        with pytest.raises(ValidationError, match="^x1 must be a finite 2-vector"):
+            bivariate_density(1.0, 2.0, 0, 1, x1, X2, THETA0)
 
 
 def _kernel_log_density(z1, z2, lag, h, a):
@@ -478,6 +486,24 @@ class TestGradient:
             got = _free_gradient(u, grad, (_A, _TAU))
             np.testing.assert_array_equal(got, [4.0 * slope, 5.0, 6.0])
             assert 0.0 < _from_free(u, base, (_A, _TAU))[3] < 1.0
+
+    @pytest.mark.parametrize("log_z2", [-39.0, -38.5])
+    def test_floored_term_gradient_raises_no_overflow_warning(self, log_z2):
+        # One lag-1 term whose Q is subnormal: 1/Q overflows (at e^-39) or a
+        # product with it does (at e^-38.5).  The term is floored, so its
+        # partials are zero and no warning may escape.
+        pairs = _prepared_pairs(
+            np.array([1.0]), np.array([math.exp(log_z2)]), np.ones(1),
+            np.zeros(1, dtype=np.intp), np.array([1.0]), np.array([[1.0, 0.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _eval_st_loglik(
+                pairs, SmithParams(1.0, 0.0, 1.0), np.array([0.7]), np.zeros((1, 2)),
+                gradient=True,
+            )
+        assert value == pytest.approx(math.log(1e-300), rel=1e-15)
+        assert np.all(grad == 0.0)
 
     def test_only_one_candidate_takes_partials(self):
         pairs = _st_table(self.DATA, None)

@@ -77,12 +77,12 @@ class TestPlanarRecursion:
         field = simulate_markov_planar(grid, n_dates, smith_identity, markov_standard, stream)
         a, tau = markov_standard.a, markov_standard.tau_array()
         entries = np.concatenate([grid.coords - j * tau for j in range(n_dates)])
-        state, storms, _ = _innovation(entries, smith_identity, stream.child(0), 1000)
+        state, storms, _ = _innovation(entries, smith_identity, stream.child(0))
         counts = [storms]
         np.testing.assert_array_equal(field.values[0], state[:m])
         for i in range(1, n_dates):
             active = entries[: (n_dates - i) * m]
-            z, storms, _ = _innovation(active, smith_identity, stream.child(i), 1000)
+            z, storms, _ = _innovation(active, smith_identity, stream.child(i))
             counts.append(storms)
             state = np.maximum(a * state[m:], (1 - a) * z)
             np.testing.assert_array_equal(field.values[i], state[:m])

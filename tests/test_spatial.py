@@ -32,8 +32,10 @@ from maxstorm.spatial import (
     _LOCAL_AREA_DISKS,
     _RETIRE_MARGIN,
     _quadratic_form,
+    _schlather_values,
     _smith_values,
     _storm_maxima,
+    _vmf_values,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -115,9 +117,9 @@ class TestSimulateSmith:
     def test_storm_cap_raises_resource_error(self, smith_identity):
         # 64 storms over a window this wide cannot cover both sites, so the
         # stopping rule has not fired when the cap is reached.
-        sites = SiteSet.planar(np.array([[0.0, 0.0], [1000.0, 0.0]]))
+        coords = np.array([[0.0, 0.0], [1000.0, 0.0]])
         with pytest.raises(ResourceError):
-            simulate_smith(sites, smith_identity, SeededStream(3), cap=64)
+            _smith_values(coords, smith_identity, SeededStream(3).generator(), 64)
 
 
 def _dense_smith_reference(coords, params, rng, retire=False):
@@ -184,11 +186,7 @@ def _every_pair_local_reference(coords, params, rng, retire=False):
             evals += entry.size
         return evals
 
-    values, n_storms, stopped, _, evals = _storm_maxima(
-        rng, coords.shape[0], fold, area, norm, STORM_CAP
-    )
-    assert stopped
-    return values, n_storms, evals
+    return _storm_maxima(rng, coords.shape[0], fold, area, norm, STORM_CAP)
 
 
 def _shifted_copies(n_sites, n_lags, step, seed=0):
@@ -384,7 +382,7 @@ class TestLocalEvaluation:
         rng = np.random.default_rng(5)
         coords = np.concatenate([rng.uniform(0, 3, size=(30, 2)), [[1e6, 1e6]]])
         with pytest.raises(ResourceError):
-            simulate_smith(SiteSet.planar(coords), smith_identity, SeededStream(3), cap=64)
+            _smith_values(coords, smith_identity, SeededStream(3).generator(), 64)
 
     def test_simulate_smith_reports_evaluations(self, smith_identity):
         sites = SiteSet.planar(np.array([[0.0, 0.0], [1.0, 1.0]]))
@@ -412,31 +410,33 @@ class TestSchlather:
         p = SchlatherParams(3.0, 1.0)
         stream = SeededStream(626262)
         draws = np.array([
-            simulate_schlather(one_site, p, stream.child(i), 1000).values[0]
+            simulate_schlather(one_site, p, stream.child(i)).values[0]
             for i in range(5000)
         ])
         ks = kstest(draws, lambda z: np.exp(-1.0 / np.maximum(z, 1e-12))).statistic
         assert ks <= 0.03
 
-    def test_storm_count_truncated_at_n_storms(self):
-        grid = SiteSet.planar(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
-        for n_storms in (1, 3):
-            out = simulate_schlather(grid, SchlatherParams(1.0, 1.0), SeededStream(8), n_storms)
-            assert out.meta["n_storms"] == n_storms
-            assert out.meta["stopped_early"] is False
+    def test_storm_cap_raises_resource_error(self):
+        # Every model shares the kernel's cap: 1 or 3 storms cannot lift
+        # these three sites above the stopping envelope.
+        coords = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        params = SchlatherParams(1.0, 1.0)
+        for cap in (1, 3):
+            with pytest.raises(ResourceError, match=f"cap {cap} "):
+                _schlather_values(coords, params, SeededStream(8).generator(), cap)
 
     def test_each_direct_call_warns_once(self, one_site, caplog):
         # The warning must not depend on what ran before in the process.
         for _ in range(2):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="maxstorm.spatial"):
-                simulate_schlather(one_site, SchlatherParams(3.0, 1.0), SeededStream(5), 10)
+                simulate_schlather(one_site, SchlatherParams(3.0, 1.0), SeededStream(5))
             levels = [r.levelno for r in caplog.records if "stopping envelope" in r.getMessage()]
             assert sorted(levels) == [logging.DEBUG, logging.WARNING]
 
     def test_duplicated_sites_share_values(self):
         sites = SiteSet.planar(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        out = simulate_schlather(sites, SchlatherParams(3.0, 1.0), SeededStream(5), 500)
+        out = simulate_schlather(sites, SchlatherParams(3.0, 1.0), SeededStream(5))
         assert out.values[0] == out.values[1]
 
 
@@ -495,9 +495,9 @@ class TestVmf:
     def test_storm_cap_raises_resource_error(self):
         # Antipodal sites and sharply concentrated storms: 64 storms cannot
         # lift both sites above the stopping threshold.
-        sites = SiteSet.sphere(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        coords = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         with pytest.raises(ResourceError):
-            simulate_vmf_field(sites, VmfParams(1000.0), SeededStream(3), cap=64)
+            _vmf_values(coords, VmfParams(1000.0), SeededStream(3).generator(), 64)
 
 
 class TestSmithExponent:

@@ -93,8 +93,7 @@ def simulators() -> str:
         add(ms.simulate_smith(grid, smith, st))
         for k in (0.0, 1.0, 5.0):
             add(ms.simulate_vmf_field(sph, ms.VmfParams(k), st))
-        for n in (1000, 20000):
-            add(ms.simulate_schlather(grid, sch, st, n))
+        add(ms.simulate_schlather(grid, sch, st))
         add(ms.simulate_markov_planar(ms.square_grid(2), 4, smith, mk_p, st))
         add(ms.simulate_markov_planar(ms.square_grid(2), 4, sch, mk_p, st))
         add(ms.simulate_markov_sphere(ms.fibonacci_sphere(4), 4, ms.VmfParams(2.0), mk_s, st))
@@ -233,7 +232,7 @@ CLI_INIS = {
     "schlather": """[model]\nkind = schlather\nc1 = 2.0\nc2 = 1.0
 [temporal]\na = 0.6\ntau = 0.5, -1
 [sites]\nlayout = grid\nn_side = 3\nspacing = 0.7
-[run]\nn_dates = 3\nseed = 17\nn_storms = 400
+[run]\nn_dates = 3\nseed = 17
 """,
     "vmf": """[model]\nkind = vmf\nkappa = 3.0
 [temporal]\na = 0.5\nrotation_angle = 0.4\nrotation_axis = 0.6, 0, 0.8
