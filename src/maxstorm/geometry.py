@@ -174,10 +174,15 @@ class SiteSet:
         return self.coords.shape[0]
 
 
+def _check_count(name: str, value: int, low: int) -> None:
+    """Reject a count below ``low`` or not an ``int`` or ``np.integer``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 def square_grid(n_side: int, spacing: float = 1.0, origin: tuple[float, float] = (0.0, 0.0)) -> SiteSet:
     """Regular ``n_side x n_side`` planar grid, row-major from ``origin``."""
-    if n_side < 1:
-        raise ValidationError(f"n_side must be >= 1, got {n_side}")
+    _check_count("n_side", n_side, 1)
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValidationError(f"spacing must be positive, got {spacing!r}")
     ax = origin[0] + spacing * np.arange(n_side)
@@ -192,8 +197,7 @@ def fibonacci_sphere(n: int) -> SiteSet:
     Golden-angle spiral; adequate for visual-grade fields and demo meshes,
     not an exact equal-area partition.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_count("n", n, 1)
     k = np.arange(n, dtype=float)
     # Midpoint offset keeps the poles off the mesh for every n.
     z = 1.0 - 2.0 * (k + 0.5) / n

@@ -14,10 +14,10 @@ every ``phi/h`` term of the first partials, leaving ``-V_1 = Phi(w)/z1**2``,
 ``log f = -Phi(w)/z1 - s/z2 + log(Phi(w) s/z2 + phi(w)/h) - 2 log z1 - log z2``
 
 (Padoan, Ribatet & Sisson, JASA 2010, use the same reduction for the
-spatial pair, ``a**l = 1``).  Pairs aligned with the moving frame
-(``h = 0``) switch to the complete-dependence branch, whose absolutely
-continuous part is an independent Frechet product on ``z2 > a**l z1`` and
-zero below.
+spatial pair, ``a**l = 1``).  Every pair takes it, with ``h`` floored at
+``H_COMPLETE_DEP``; off the line ``z2 = a**l z1``, a pair on the moving frame
+(``h = 0``) then gets the complete-dependence law to rounding: an
+independent Frechet product on ``z2 > a**l z1`` and zero below.
 
 There is one objective, keyed by its pair table.  It sums ``log f``,
 optionally weighted, over the pairs of observation ``(t_i, x_k)`` with
@@ -69,8 +69,9 @@ from scipy.optimize import OptimizeResult, minimize
 from scipy.special import ndtr
 
 from .errors import DegeneratePairError, NumericalError, ValidationError
+from .geometry import _check_count
 from .spacetime import MarkovParams, SpaceTimeField
-from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _mahalanobis, mahalanobis_distance
+from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _mahalanobis
 
 __all__ = [
     "ThetaVector",
@@ -187,7 +188,8 @@ class FitReport:
     ``iterations`` counts the objective evaluations of every optimizer run:
     the simplex's, and the polish's value-and-gradient calls, one each.  The
     start scan, one batched call scoring 244 points on the terms of the two
-    shortest time lags, is not in it.
+    shortest time lags, is not in it.  ``converged`` is also false when the
+    estimate puts a space-time row on the floor ``H_COMPLETE_DEP`` of ``h``.
     """
 
     theta_hat: ThetaVector
@@ -224,9 +226,7 @@ class FitOptions:
     max_space_dist: float | None = None
 
     def __post_init__(self) -> None:
-        evals = self.max_evals
-        if isinstance(evals, bool) or not isinstance(evals, (int, np.integer)) or evals < 1:
-            raise ValidationError(f"max_evals must be an integer of at least 1, got {evals!r}")
+        _check_count("max_evals", self.max_evals, 1)
         cutoffs = [n for n in ("max_time_lag", "max_space_dist") if getattr(self, n) is not None]
         for name in ("xtol", "ftol", *cutoffs):
             value = getattr(self, name)
@@ -275,7 +275,8 @@ def _prepared_pairs(
     """Drop zero-weight terms and build the distinct-pair table of the rest.
 
     ``key`` indexes each term's (lag, site pair) into the candidate arrays
-    ``lag`` and ``dx``; only candidates some kept term uses become rows.
+    ``lag`` and ``dx``; only candidates some kept term uses become rows.  A
+    kept row of lag 0 and ``dx = (0, 0)`` raises :class:`DegeneratePairError`.
     """
     keep = weight > 0
     if not keep.any():
@@ -285,6 +286,11 @@ def _prepared_pairs(
     used = np.zeros(lag.size, dtype=bool)
     used[key] = True
     row = (np.cumsum(used) - 1)[key]
+    lag, dx = lag[used], dx[used]
+    coincident = (lag == 0) & ~dx.any(axis=1)
+    if coincident.any():
+        bad = f"same-date pair {np.flatnonzero(coincident[row])[0]} has coincident sites"
+        raise DegeneratePairError(f"{bad}; remove duplicated sites before fitting")
     return _PreparedPairs(
         z1=z1,
         z2=z2,
@@ -294,9 +300,9 @@ def _prepared_pairs(
         log_jac=-2.0 * np.log(z1) - np.log(z2),
         weight=weight,
         row=row,
-        lag=lag[used],
-        dx=dx[used],
-        dx_cols=np.ascontiguousarray(dx[used].T),
+        lag=lag,
+        dx=dx,
+        dx_cols=np.ascontiguousarray(dx.T),
     )
 
 
@@ -322,11 +328,11 @@ def _log_pair_density(
     the first partials, so no difference of large numbers is formed at
     small ``h``.  Each term costs one ``exp``, two ``ndtr`` and one
     ``log``; everything per row is computed once on the table and
-    gathered, ``h`` from the three entries of ``Sigma^{-1}``.  Rows with
-    ``h`` below ``H_COMPLETE_DEP`` lie on the moving frame and take the
-    complete-dependence branch; there, a same-date row has coincident sites
-    and no density.  The floor applies last: only a chunk whose smallest
-    term is NaN or below it has its NaN located and its floored terms counted.
+    gathered, ``h`` from the three entries of ``Sigma^{-1}``.  Every row
+    takes this one formula, with ``h`` floored at ``H_COMPLETE_DEP``, which
+    bounds ``phi(w)/h`` on the moving frame.  The density floor applies
+    last: only a chunk whose smallest term is NaN or below it has its NaN
+    located and its floored terms counted.
 
     Yields ``(c, logf, n_floored)`` per chunk of candidates ``c``: one row of
     floored terms and one count per candidate, overwritten by the next chunk.
@@ -341,9 +347,9 @@ def _log_pair_density(
     ``d/dh = (p h) ((s/z2 + r e - r (1 - r) - 1/h**2)/Q - 1/z1)``,
     ``d/dc = (1/z2 - s/z2) (1 - Phi(w)/Q) + p (e + r)/Q``,
 
-    where ``1/z2 - s/z2 = a**lag (1 - Phi(v))/z2``.  A moving-frame term has
-    ``d/dh = 0`` and ``d/dc = -a**lag/(1 - a**lag) + a**lag/z2``, and a
-    floored term has both partials 0.
+    where ``1/z2 - s/z2 = a**lag (1 - Phi(v))/z2``.  A term below the
+    density floor has both partials 0; :func:`_theta_gradient` gives a row
+    below the ``h`` floor no ``h`` partial.
     """
     n_terms, n_rows, k = pairs.n_terms, pairs.lag.size, a.size
     if partials is not None and k != 1:
@@ -371,10 +377,7 @@ def _log_pair_density(
         # h as spatial._mahalanobis forms it from the offsets dx - lag*tau.
         o1, o2 = dx - pairs.lag * tau_at
         h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, 0.0))
-        degenerate = h < H_COMPLETE_DEP
-        any_degenerate = np.count_nonzero(degenerate) > 0
-        if any_degenerate:
-            h[degenerate] = 1.0
+        np.maximum(h, H_COMPLETE_DEP, out=h)
         # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag.
         per_row = np.empty((5, h.size))
         inv_h, w0, v0, alag, residual = per_row.reshape(5, *h.shape)
@@ -451,31 +454,6 @@ def _log_pair_density(
                 d_h *= pdf_w_over_h
                 d_h /= inv_h_t
 
-        if any_degenerate:
-            # Moving-frame pairs: X2 = max(a**l X1, (1-a**l) W) with W
-            # independent Frechet, so the absolutely continuous part is a
-            # product on z2 > a**l z1 and zero at or below the singular line.
-            idx = np.flatnonzero(degenerate.ravel()[row[: logf.size]])
-            rows, term = row[idx], idx % n_terms
-            if not pairs.lag[rows % n_rows].all():
-                bad = f"same-date pair {term[0]} has coincident sites under this covariance"
-                raise DegeneratePairError(f"{bad}; remove duplicated sites before fitting")
-            z1, z2 = pairs.z1[term], pairs.z2[term]
-            residual = per_row[4, rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_product = (
-                    pairs.log_jac[term]
-                    - np.log(z2)
-                    - pairs.inv_z1[term]
-                    + np.log(np.maximum(residual, 0.0))
-                    - residual * pairs.inv_z2[term]
-                )
-            logf[idx] = np.where(z2 > per_row[3, rows] * z1, log_product, -np.inf)
-            if partials is not None:
-                alag = per_row[3, rows]
-                partials[0, idx] = 0.0
-                partials[1, idx] = alag * pairs.inv_z2[term] - alag / residual
-
         logf = logf.reshape(-1, n_terms)
         # One pass finds a NaN (np.minimum propagates it) or a term below the floor.
         n_floored = [0] * len(logf)
@@ -507,7 +485,7 @@ def _theta_gradient(
     ``o = dx - lag*tau`` and ``b = Sigma^{-1} o`` per row, ``h = sqrt(o'b)``
     gives ``dh/dtau = -lag b/h`` and
     ``dh/d(sigma11, sigma12, sigma22) = -(b1**2, 2 b1 b2, b2**2)/(2h)``;
-    ``dc/da = lag/a``.  A moving-frame row has no ``h`` partial.
+    ``dc/da = lag/a``.  A row below the floor of ``h`` has no ``h`` partial.
     """
     offsets = pairs.dx - pairs.lag[:, None] * tau
     b = offsets @ sigma.sigma_inv
@@ -555,12 +533,6 @@ def bivariate_density(
         t1, t2, c1, c2, z1, z2 = t2, t1, c2, c1, z2, z1
     lag = t2 - t1
     shifted = c2 - lag * theta.markov.tau_array() - c1
-    h1 = float(mahalanobis_distance(shifted, theta.smith))
-    if lag == 0 and h1 < H_COMPLETE_DEP:
-        raise DegeneratePairError(
-            f"pair at date {t1} with sites {c1.tolist()} and {c2.tolist()} "
-            "coincides; no absolutely continuous density exists"
-        )
     pairs = _prepared_pairs(
         np.array([z1], dtype=float),
         np.array([z2], dtype=float),
@@ -569,7 +541,7 @@ def bivariate_density(
         np.array([lag], dtype=float),
         shifted[None, :],
     )
-    # The offset is already shifted, so the kernel's h is h1 bit for bit.
+    # The offset is already shifted, so the kernel reads tau as 0.
     (_, logf, _), = _log_pair_density(pairs, theta.smith, np.array([theta.a]), np.zeros((1, 2)))
     return float(np.exp(logf[0, 0]))
 
@@ -991,7 +963,8 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     simplex run and its gradient polish; the best run's theta passes to the
     next stage, and the last stage's value is the reported log likelihood.
     ``iterations`` sums every run of every stage; ``converged`` needs every
-    stage's best run to have converged and ``a`` to lie off its clamp.
+    stage's best run to have converged, ``a`` to lie off its clamp and every
+    space-time row to lie off the ``H_COMPLETE_DEP`` floor of ``h``.
     """
     weights = PairWeights.cutoff(
         data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
@@ -1018,12 +991,15 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
         iterations += sum(r.nfev for r in runs)
         converged = converged and best.success
     theta_hat = ThetaVector.from_array(theta)
+    # A row below the floor of h sits on the plateau of a likelihood spike.
+    offsets = st_pairs.dx - st_pairs.lag[:, None] * theta[4:]
+    on_floor = np.any(_mahalanobis(offsets, theta_hat.smith.sigma_inv) < H_COMPLETE_DEP)
     return FitReport(
         theta_hat=theta_hat,
         loglik=-best.fun,
         n_pairs=st_pairs.n_terms,
         iterations=iterations,
-        converged=converged and _a_is_interior(theta_hat.a),
+        converged=converged and _a_is_interior(theta_hat.a) and not on_floor,
         scheme=scheme,
     )
 
@@ -1038,7 +1014,8 @@ def fit_scheme1(
     space-time objective over the coefficient and translation from the
     starts of a coarse scan.  The reported log likelihood is the space-time
     objective at the combined estimate.  An estimate of ``a`` stuck at the
-    clamp of 0 or 1 reports ``converged=False``.
+    clamp of 0 or 1, or one that puts a space-time row on the floor of ``h``,
+    reports ``converged=False``.
     """
     return _fit(data, init, options or FitOptions(), 1)
 
@@ -1049,7 +1026,7 @@ def fit_scheme2(
     """Joint fit: one six-parameter maximization of the space-time objective.
 
     The starts come from the same scan as :func:`fit_scheme1`'s second
-    stage, at the initial covariance.  As there, an estimate of ``a`` stuck
-    at the clamp of 0 or 1 reports ``converged=False``.
+    stage, at the initial covariance.  As there, an estimate of ``a`` at its
+    clamp, or with a space-time row on the floor of ``h``, is not converged.
     """
     return _fit(data, init, options or FitOptions(), 2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ValidationError
-from .geometry import RotationSpec, SiteSet, rotation_matrix
+from .geometry import RotationSpec, SiteSet, _check_count, rotation_matrix
 from .point_process import SeededStream
 from .spatial import (
     SchlatherParams,
@@ -188,8 +188,7 @@ def _simulate_markov(
     each date draws its innovation there and the state shrinks by ``M``
     entries a date.
     """
-    if n_dates < 1:
-        raise ValidationError(f"n_dates must be >= 1, got {n_dates}")
+    _check_count("n_dates", n_dates, 1)
     entry_coords = _entry_coords(site_set, n_dates, spatial, markov)
     m = len(site_set)
     a = markov.a
@@ -280,8 +279,7 @@ def truncated_moving_max(
     ``a**(J+1)`` (reported in ``meta``), making this an independent oracle
     for the recursion's law.
     """
-    if J < 0:
-        raise ValidationError(f"J must be >= 0, got {J}")
+    _check_count("J", J, 0)
     dates = _integer_dates(dates)
     if dates.ndim != 1 or dates.size == 0 or np.any(np.diff(dates) <= 0):
         raise ValidationError("dates must be a non-empty strictly increasing array")

@@ -78,8 +78,9 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 INV_TWO_PI = 1.0 / (2.0 * math.pi)
 # Fraction of a site's Frechet scale allowed to fall outside the storm window.
 EPS_TAIL = 1e-6
-# Below this Mahalanobis distance the bivariate exponent switches to its
-# complete-dependence limit; the generic formula hits 0/0.
+# Complete dependence below this Mahalanobis distance (the generic formula hits
+# 0/0): smith_exponent_bivariate switches to its limit there, and the pair
+# density of maxstorm.inference floors h at it (a fit ending below is unconverged).
 H_COMPLETE_DEP = 1e-8
 # Dense-site cap for the Schlather correlation Cholesky.
 SCHLATHER_MAX_SITES = 4000

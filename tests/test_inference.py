@@ -27,6 +27,7 @@ from maxstorm import (
     bivariate_density,
     fit_scheme1,
     fit_scheme2,
+    mahalanobis_distance,
     pairwise_loglik,
     simulate_markov_planar,
     spatial_pairwise_loglik,
@@ -51,6 +52,7 @@ from maxstorm.inference import (
     _temporal_start_candidates,
     _to_free,
 )
+from maxstorm.spatial import H_COMPLETE_DEP
 
 THETA0 = ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
 X1 = np.array([0.0, 0.0])
@@ -641,6 +643,24 @@ class TestPairwiseLoglik:
         off = ThetaVector(2.0, 0.3, 0.5, 0.12, 2.0, 2.0)
         assert np.isfinite(pairwise_loglik(data, off))
 
+    def test_flat_below_the_h_floor_along_a_row(self):
+        # One lag-1 row, with a at its smallest ratio z2/z1: as tau nears the
+        # row's dx, that term sits on the singular line and gains log(1/h).
+        # Below H_COMPLETE_DEP the kernel scores h as the floor, so the
+        # objective stays at its value there instead of dropping.
+        data = _sim(24, n_dates=4, n_sites=4)
+        pairs = _st_table(data, None)
+        ratio = pairs.z2 / pairs.z1
+        row = next(r for r in np.flatnonzero(pairs.lag == 1) if ratio[pairs.row == r].min() < 1)
+        a = float(ratio[pairs.row == row].min())
+        values = {}
+        for h in (2e-8, 1e-8, 5e-9, 1e-9, 0.0):
+            tau = pairs.dx[row] - [h, 0.0]
+            values[h] = pairwise_loglik(data, ThetaVector(1.0, 0.0, 1.0, a, *tau))
+        assert values[1e-8] - values[2e-8] == pytest.approx(math.log(2.0), abs=1e-3)
+        for h in (5e-9, 1e-9, 0.0):
+            assert values[h] == pytest.approx(values[1e-8], abs=1e-4)
+
 
 class TestSpatialPairwiseLoglik:
     def test_single_date_single_pair_matches_zero_lag_density(self, smith_identity):
@@ -1143,6 +1163,41 @@ class TestFits:
         # two-stage estimate.
         assert r2.loglik >= r1.loglik - 1e-3 * abs(r1.loglik)
 
+    def test_estimate_on_the_h_floor_is_not_converged(self):
+        # Record 3 of the study recipe on 6 sites x 6 dates: scheme 1 ends
+        # with a space-time row below H_COMPLETE_DEP, on the plateau that the
+        # floor of h makes of the likelihood spike, not at a maximum.
+        root = SeededStream(1).child(3)
+        coords = root.child(0).generator().uniform(0.0, 10.0, size=(6, 2))
+        data = simulate_markov_planar(
+            SiteSet.planar(coords), 6, THETA0.smith, THETA0.markov, root.child(1)
+        )
+        report = fit_scheme1(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0))
+        theta = report.theta_hat
+        pairs = _st_table(data, None)
+        offsets = pairs.dx - pairs.lag[:, None] * theta.markov.tau_array()
+        assert mahalanobis_distance(offsets, theta.smith).min() < H_COMPLETE_DEP
+        assert not report.converged
+
+    def test_duplicated_sites_fail_before_any_evaluation(self, monkeypatch):
+        # Scheme 1's same-date table holds a pair of coincident sites, which
+        # has no density; building the table rejects it.
+        calls = []
+        original = inference._eval_st_loglik
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_eval_st_loglik", counting)
+        coords = np.array([[0.0, 0.0], [2.0, 1.0], [0.0, 0.0], [1.0, 3.0]])
+        data = simulate_markov_planar(
+            SiteSet.planar(coords), 4, THETA0.smith, THETA0.markov, SeededStream(3)
+        )
+        with pytest.raises(DegeneratePairError, match="remove duplicated sites before fitting"):
+            fit_scheme1(data, ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0))
+        assert calls == []
+
     def test_coefficient_at_clamp_is_not_converged(self, smith_identity, markov_standard):
         # On this lattice record scheme 1 runs a to the logit clamp (a = 1 - 1.9e-12);
         # seed 1 gives an interior estimate (a = 0.50) that still converges.
@@ -1235,7 +1290,7 @@ class TestFits:
     def test_batched_scan_matches_pointwise_scan_on_moving_frame(self, monkeypatch):
         # On the unit grid at Sigma = I, 8 of the 81 lattice translations put
         # a lag-1 or lag-2 row exactly on the moving frame (h = 0), so 24 of
-        # the scan's 244 candidates take the complete-dependence branch.
+        # the scan's 244 candidates have a row on the floor of h.
         data = simulate_markov_planar(
             square_grid(4), 6, THETA0.smith, THETA0.markov, SeededStream(0)
         )

@@ -54,6 +54,33 @@ class TestMarkovParams:
             MarkovParams(0.5, tau=(1.0, 0.0), rotation=RotationSpec(0.1, (0.0, 0.0, 1.0)))
 
 
+_SMITH = SmithParams(1.0, 0.0, 1.0)
+_PLANAR = MarkovParams(0.7, tau=(-1.0, -1.0))
+_ROTATING = MarkovParams(0.6, rotation=RotationSpec(0.4, (0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: square_grid(2.5),
+        lambda: fibonacci_sphere(2.5),
+        lambda: simulate_markov_planar(square_grid(2), 2.5, _SMITH, _PLANAR, SeededStream(1)),
+        lambda: simulate_markov_sphere(
+            fibonacci_sphere(4), True, VmfParams(2.0), _ROTATING, SeededStream(1)
+        ),
+        lambda: truncated_moving_max(
+            square_grid(2), np.arange(1, 4), _SMITH, _PLANAR, 1.5, SeededStream(1)
+        ),
+    ],
+    ids=["grid side", "sphere points", "planar dates", "sphere dates", "truncation depth"],
+)
+def test_counts_must_be_integers(call):
+    # Unchecked, a float count is truncated into a layout or fails inside
+    # range(); a bool is no count.
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
 class TestPlanarRecursion:
     def test_shape_dates_and_determinism(self, smith_identity, markov_standard):
         grid = square_grid(3)

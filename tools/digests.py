@@ -26,6 +26,10 @@ same records, straight from ``inference._eval_st_loglik``: the start scan's
 batched call at its 244 candidates, the full space-time table at those
 candidates, and per record 50 seeded single candidates on the space-time
 and the same-date table, each as a value and as a value with its gradient.
+``kernel grid`` hashes the same two scan calls on the 6-date record of
+``square_grid(4)`` (seed 0), where 24 of the 244 candidates put a table
+row on the moving frame (h = 0): the rows the kernel scores at the floor
+``H_COMPLETE_DEP`` of h, which no other line reaches.
 ``cli`` hashes the files the commands write:
 ``field.csv`` and ``field_meta.json`` of a Smith, a Schlather and a vMF
 config, ``fit.json`` of both schemes, the ``dependence`` table, and
@@ -187,29 +191,38 @@ def fits() -> str:
     return h.hexdigest()
 
 
+def scan(h, f: ms.SpaceTimeField) -> inference._PreparedPairs:
+    """Hash the start scan's batched call on ``f`` and the full table there.
+
+    The scan scores its 244 candidates on the short-lag table in one call;
+    the full space-time table, which is returned, is scored at the same ones.
+    """
+    original = inference._eval_st_loglik
+    space_time = inference._prepare_pairs(f, None, np.triu_indices(f.n_dates, 1))
+    calls = []
+
+    def recording(pairs, sigma, a, tau, gradient=False):
+        calls.append((sigma, a, tau))
+        values = original(pairs, sigma, a, tau, gradient)
+        h.update(values.tobytes())
+        return values
+
+    with mock.patch.object(inference, "_eval_st_loglik", recording):
+        inference._temporal_start_candidates(
+            inference._short_lag_pairs(space_time), FIT_INIT.as_array()
+        )
+    (sigma, a, tau), = calls
+    assert a.size == 244
+    h.update(original(space_time, sigma, a, tau).tobytes())
+    return space_time
+
+
 def kernel() -> str:
     h = hashlib.sha256()
     original = inference._eval_st_loglik
     for i, f in enumerate(fit_records()):
-        n = f.n_dates
-        space_time = inference._prepare_pairs(f, None, np.triu_indices(n, 1))
-        same_date = inference._prepare_pairs(f, None, (np.arange(n),) * 2)
-        # The scan's one batched call, on its short-lag table, and the full
-        # table at the same 244 candidates.
-        calls = []
-
-        def recording(pairs, sigma, a, tau, gradient=False):
-            calls.append((sigma, a, tau))
-            values = original(pairs, sigma, a, tau, gradient)
-            h.update(values.tobytes())
-            return values
-
-        scan = inference._short_lag_pairs(space_time)
-        with mock.patch.object(inference, "_eval_st_loglik", recording):
-            inference._temporal_start_candidates(scan, FIT_INIT.as_array())
-        (sigma, a, tau), = calls
-        assert a.size == 244
-        h.update(original(space_time, sigma, a, tau).tobytes())
+        space_time = scan(h, f)
+        same_date = inference._prepare_pairs(f, None, (np.arange(f.n_dates),) * 2)
         rng = np.random.default_rng(100 + i)
         for _ in range(50):
             theta = ms.ThetaVector(
@@ -222,6 +235,15 @@ def kernel() -> str:
                 value, grad = original(pairs, theta.smith, a, tau, gradient=True)
                 h.update(np.float64(value).tobytes())
                 h.update(grad.tobytes())
+    return h.hexdigest()
+
+
+def kernel_grid() -> str:
+    h = hashlib.sha256()
+    truth = ms.ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
+    scan(h, ms.simulate_markov_planar(
+        ms.square_grid(4), 6, truth.smith, truth.markov, ms.SeededStream(0)
+    ))
     return h.hexdigest()
 
 
@@ -297,4 +319,5 @@ if __name__ == "__main__":
         print(f"evals {name}", evals)
     print("fits", fits())
     print("kernel", kernel())
+    print("kernel grid", kernel_grid())
     print("cli", cli())
