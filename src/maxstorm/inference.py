@@ -25,10 +25,14 @@ optionally weighted, over the pairs of observation ``(t_i, x_k)`` with
 table's set of date pairs: ``i < j`` for the space-time table, ``i == j``
 for the same-date one.  One builder crosses either set with the site pairs;
 a same-date pair has temporal weight 1.  The parameter-free parts of every
-term are prepared once per dataset, the site offsets as contiguous columns,
-and ``h`` and ``a**l`` once per distinct (lag, site pair).  One minimum over
-the terms finds a NaN or a term below the density floor; only then are they
-located and counted.  The table's lags, not the caller, decide what the
+term are prepared once per dataset, the site offsets as contiguous columns.
+One flat kernel evaluates the terms of one table, with ``h`` and ``a**l``
+once per distinct (lag, site pair): a single candidate ``(a, tau)`` reaches
+it as floats, and a batch of candidates as the per-row values of a stacked
+table, which repeats the table once per candidate.  Either way a term takes
+the same operations, so its bits do not depend on its table.  One minimum
+over the terms finds a NaN or a term below the density floor; only then are
+they located and counted.  The table's lags, not the caller, decide what the
 parameters act on: every row of the same-date table has lag 0, so
 ``a**0 = 1``, the offset is ``dx`` and the objective is a function of the
 covariance alone, the same bits at every ``(a, tau)``.
@@ -41,7 +45,7 @@ the starts of a coarse scan.  Scheme 2 runs one: the space-time table over
 all three blocks from the same scan's starts.  The scan only ranks lattice
 points, so it scores the objective on the space-time terms of the fit's two
 shortest distinct time lags, the pairs that carry most of the information
-about ``tau``, and it scores all 244 of its points in one batched kernel
+about ``tau``, and it scores all 244 of its points in one batched objective
 call; the refinement and the reported log likelihood use every term.  One
 blockwise map takes each free block onto all of R^k (log-Cholesky for the
 covariance, logit for ``a``, identity for ``tau``); a held block is copied
@@ -62,7 +66,7 @@ import logging
 import math
 from dataclasses import astuple, dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
@@ -89,13 +93,18 @@ logger = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = math.log(DENSITY_FLOOR)
-# Terms evaluated at once, every step writing into one work array per
-# objective call.  Whole-array temporaries (289 KiB each at 36,100 terms) each
-# cost a fresh mapping whenever glibc's mmap threshold sits at its 128 KiB
-# default, as in a process that has not yet freed a large array: there the
-# 36,100-term objective took 3.5 ms, against 2.5 ms once the threshold had
-# risen; chunked, it takes about 2.5 ms either way.
-_TERM_CHUNK = 8192
+# The kernel's constant operands, as 0-d arrays: numpy 2.4 ufuncs take one in
+# about 0.3 us on a 36-term array, against 0.45 us for a Python float.
+_ONE, _HALF, _MINUS_HALF = np.array(1.0), np.array(0.5), np.array(-0.5)
+_SQRT_TWO_PI = np.array(SQRT_TWO_PI)
+_H_FLOOR_SQ = np.array(H_COMPLETE_DEP * H_COMPLETE_DEP)
+# Terms evaluated at once, each slice on fresh temporaries, and the most terms
+# of a stacked table.  glibc maps an array of 128 KiB or more afresh, and
+# unmaps it when freed, while its mmap threshold sits at that default.  The
+# largest temporary of a slice is its gather of five per-row values,
+# 5 x 3,072 x 8 bytes = 120 KiB, just under it.  At 8,192 terms (320 KiB) a
+# 36,100-term objective call took about 225 page faults, against none here.
+_TERM_CHUNK = 3072
 # Edge of the first simplex in transformed space, per unit of max(1, |u_d|).
 _SIMPLEX_STEP = 0.25
 
@@ -309,15 +318,19 @@ def _prepared_pairs(
 def _log_pair_density(
     pairs: _PreparedPairs,
     sigma: SmithParams,
-    a: np.ndarray,
-    tau: np.ndarray,
+    a: float | np.ndarray,
+    log_a: float | np.ndarray,
+    tau1: float | np.ndarray,
+    tau2: float | np.ndarray,
     partials: np.ndarray | None = None,
-) -> Iterator[tuple[slice, np.ndarray, list[int]]]:
-    """Log density of every pair term at ``k`` candidates sharing ``sigma``.
+) -> np.ndarray:
+    """Log density of every term of the table ``pairs``, before the density floor.
 
-    Candidate ``i`` is the coefficient ``a[i]`` (1 for same-date pairs) and
-    the translation ``tau[i]``; per table row, ``h`` is the Mahalanobis
-    length of ``dx - lag*tau``.  With ``c = lag*log a``,
+    The candidate is the coefficient ``a``, its log and the translation
+    ``tau = (tau1, tau2)``: floats for one candidate, or arrays holding each
+    table row's values for a stacked table of several candidates
+    (:func:`_stacked`).  Per table row, ``h`` is the Mahalanobis length of
+    ``dx - lag*tau``.  With ``c = lag*log a``,
     ``w = h/2 + (log(z2/z1) - c)/h``, ``v = h - w`` and
     ``s = a**lag Phi(v) + 1 - a**lag``, the density is
 
@@ -330,145 +343,130 @@ def _log_pair_density(
     ``log``; everything per row is computed once on the table and
     gathered, ``h`` from the three entries of ``Sigma^{-1}``.  Every row
     takes this one formula, with ``h`` floored at ``H_COMPLETE_DEP``, which
-    bounds ``phi(w)/h`` on the moving frame.  The density floor applies
-    last: only a chunk whose smallest term is NaN or below it has its NaN
-    located and its floored terms counted.
+    bounds ``phi(w)/h`` on the moving frame.  The terms are evaluated in
+    slices of ``_TERM_CHUNK``, each on fresh temporaries.  A term takes the
+    same operations in any table and any slice, so its bits depend on
+    neither; :func:`_floor_terms` applies the density floor.
 
-    Yields ``(c, logf, n_floored)`` per chunk of candidates ``c``: one row of
-    floored terms and one count per candidate, overwritten by the next chunk.
-    A chunk holds as many whole candidates as fit in ``_TERM_CHUNK`` terms, or
-    one candidate in ``_TERM_CHUNK``-term slices.  No bit depends on chunks.
-
-    For a single candidate, a ``(2, n_terms)`` array ``partials`` receives
-    each term's ``d log f/dh`` and ``d log f/dc``; ``logf`` is computed as
+    A ``(2, n_terms)`` array ``partials`` receives each term's
+    ``d log f/dh`` and ``d log f/dc``; the log densities are computed as
     without it.  With ``p = phi(w)/h``, ``Q = Phi(w) s/z2 + p``, ``r = w/h``
     and ``e = Phi(w)/z1 - s/z2``, the same identity leaves
 
     ``d/dh = (p h) ((s/z2 + r e - r (1 - r) - 1/h**2)/Q - 1/z1)``,
     ``d/dc = (1/z2 - s/z2) (1 - Phi(w)/Q) + p (e + r)/Q``,
 
-    where ``1/z2 - s/z2 = a**lag (1 - Phi(v))/z2``.  A term below the
-    density floor has both partials 0; :func:`_theta_gradient` gives a row
-    below the ``h`` floor no ``h`` partial.
+    where ``1/z2 - s/z2 = a**lag (1 - Phi(v))/z2``.  :func:`_floor_terms`
+    gives a term below the density floor both partials 0, and
+    :func:`_theta_gradient` a row below the ``h`` floor no ``h`` partial.
     """
-    n_terms, n_rows, k = pairs.n_terms, pairs.lag.size, a.size
-    if partials is not None and k != 1:
-        raise ValueError("term partials are computed for a single candidate")
-    per = max(1, min(k, _TERM_CHUNK // n_terms))
-    width = min(per * n_terms, _TERM_CHUNK)
-    # Candidate i of a chunk reads rows i*n_rows onward of the stacked table.
-    row = (pairs.row + n_rows * np.arange(per)[:, None]).ravel() if per > 1 else pairs.row
-    terms = (pairs.log_ratio, pairs.inv_z1, pairs.inv_z2, pairs.log_jac)
-    log_ratio, inv_z1, inv_z2, log_jac = (np.tile(x, per) for x in terms) if per > 1 else terms
+    lag, row = pairs.lag, pairs.row
     # The entries of sigma.sigma_inv, as scalars.
     det = sigma.det
     q11, q12, q22 = sigma.sigma22 / det, -sigma.sigma12 / det, sigma.sigma11 / det
-    # math.log, not np.log: its bits are those of one scalar a.
-    log_a = np.array(list(map(math.log, a.tolist())))
-    buffer = np.empty(per * n_terms)
-    work = np.empty((9, width))
-    for c0 in range(0, k, per):
-        c = slice(c0, min(c0 + per, k))
-        # One candidate is indexed as a scalar, so its per-row arrays stay 1-d.
-        if per == 1:
-            at, dx, tau_at = c0, pairs.dx_cols, tau[c0, :, None]
-        else:
-            at, dx, tau_at = (c, None), pairs.dx_cols[:, None], tau[c].T[:, :, None]
-        # h as spatial._mahalanobis forms it from the offsets dx - lag*tau.
-        o1, o2 = dx - pairs.lag * tau_at
-        h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, 0.0))
-        np.maximum(h, H_COMPLETE_DEP, out=h)
-        # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag.
-        per_row = np.empty((5, h.size))
-        inv_h, w0, v0, alag, residual = per_row.reshape(5, *h.shape)
-        np.divide(1.0, h, inv_h)
-        # 1 - a**lag holds c/h until a**lag is known.
-        np.multiply(pairs.lag, log_a[at], residual)
-        residual *= inv_h
-        np.multiply(h, 0.5, w0)
-        np.add(w0, residual, v0)
-        w0 -= residual
-        np.power(a[at], pairs.lag, alag)
-        np.subtract(1.0, alag, residual)
-        logf = buffer[: (c.stop - c0) * n_terms]
-        # 1/Q and the partials built on it overflow only where Q is subnormal,
-        # a term far below the floor whose partials are zeroed below.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for start in range(0, logf.size, width):
-                t = slice(start, min(start + width, logf.size))
-                out = logf[t]
-                chunk = work[:, : out.size]
-                # One gather ("clip" writes straight into the work rows; every row
-                # index is valid); w and v still lack their log(z2/z1)/h part.
-                # The steps keep the operand order of the whole-array formula.
-                per_row.take(row[t], 1, chunk[:5], "clip")
-                inv_h_t, w, v, alag_t, residual_t, cdf_w, s_over_z2, pdf_w_over_h, tmp = chunk
-                np.multiply(log_ratio[t], inv_h_t, tmp)
-                w += tmp
-                v -= tmp
-                # Phi(w) and Phi(v) in one call: rows w, v feed rows cdf_w, s_over_z2.
-                ndtr(chunk[1:3], chunk[5:7])
-                s_over_z2 *= alag_t
-                s_over_z2 += residual_t
-                s_over_z2 *= inv_z2[t]
-                np.multiply(w, -0.5, pdf_w_over_h)
-                pdf_w_over_h *= w
-                np.exp(pdf_w_over_h, pdf_w_over_h)
-                pdf_w_over_h *= inv_h_t
-                pdf_w_over_h /= SQRT_TWO_PI
-                np.multiply(cdf_w, s_over_z2, out)
-                out += pdf_w_over_h
-                np.log(out, out)
-                np.multiply(cdf_w, inv_z1[t], tmp)
-                tmp += s_over_z2
-                tmp -= log_jac[t]
-                out -= tmp
-                if partials is None:
-                    continue
-                # Rows v, a**lag and 1 - a**lag are spent; they hold 1/Q, r and e.
-                d_h, d_c = partials[:, t]
-                inv_q, r, e = v, alag_t, residual_t
-                np.multiply(cdf_w, s_over_z2, inv_q)
-                inv_q += pdf_w_over_h
-                np.reciprocal(inv_q, inv_q)
-                np.multiply(w, inv_h_t, r)
-                np.multiply(cdf_w, inv_z1[t], e)
-                e -= s_over_z2
-                np.add(e, r, d_c)
-                d_c *= pdf_w_over_h
-                d_c *= inv_q
-                np.multiply(cdf_w, inv_q, tmp)
-                np.subtract(1.0, tmp, tmp)
-                np.subtract(inv_z2[t], s_over_z2, d_h)
-                d_h *= tmp
-                d_c += d_h
-                np.subtract(1.0, r, tmp)
-                tmp *= r
-                np.multiply(r, e, d_h)
-                d_h += s_over_z2
-                d_h -= tmp
-                np.multiply(inv_h_t, inv_h_t, tmp)
-                d_h -= tmp
-                d_h *= inv_q
-                d_h -= inv_z1[t]
-                d_h *= pdf_w_over_h
-                d_h /= inv_h_t
+    # h as spatial._mahalanobis forms it from the offsets dx - lag*tau, and
+    # floored at H_COMPLETE_DEP.  sqrt is monotone and takes the rounded
+    # square of H_COMPLETE_DEP back to it, so flooring the square instead
+    # gives the same bits.
+    dx1, dx2 = pairs.dx_cols
+    o1 = dx1 - lag * tau1
+    o2 = dx2 - lag * tau2
+    h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, _H_FLOOR_SQ))
+    # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag.
+    per_row = np.empty((5, lag.size))
+    inv_h, w0, v0, alag, residual = per_row
+    np.divide(_ONE, h, inv_h)
+    c_over_h = lag * log_a
+    c_over_h *= inv_h
+    np.multiply(h, _HALF, w0)
+    np.add(w0, c_over_h, v0)
+    w0 -= c_over_h
+    np.power(a, lag, alag)
+    np.subtract(_ONE, alag, residual)
+    logf = np.empty(row.size)
+    # 1/Q and the partials built on it overflow only where Q is subnormal,
+    # a term far below the floor whose partials are zeroed after.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, row.size, _TERM_CHUNK):
+            t = slice(start, start + _TERM_CHUNK)
+            inv_z1, inv_z2 = pairs.inv_z1[t], pairs.inv_z2[t]
+            # One gather ("clip": every row index is valid); w and v still
+            # lack their log(z2/z1)/h part.
+            gathered = per_row.take(row[t], 1, None, "clip")
+            inv_h, w, v, alag, residual = gathered
+            tmp = pairs.log_ratio[t] * inv_h
+            w += tmp
+            v -= tmp
+            # Phi(w) and Phi(v) in one call.
+            cdf_w, s_over_z2 = ndtr(gathered[1:3])
+            s_over_z2 *= alag
+            s_over_z2 += residual
+            s_over_z2 *= inv_z2
+            pdf_w_over_h = w * _MINUS_HALF
+            pdf_w_over_h *= w
+            np.exp(pdf_w_over_h, pdf_w_over_h)
+            pdf_w_over_h *= inv_h
+            pdf_w_over_h /= _SQRT_TWO_PI
+            q = cdf_w * s_over_z2
+            q += pdf_w_over_h
+            out = logf[t]
+            np.log(q, out)
+            np.multiply(cdf_w, inv_z1, tmp)
+            tmp += s_over_z2
+            tmp -= pairs.log_jac[t]
+            out -= tmp
+            if partials is None:
+                continue
+            # Q and the rows v and a**lag are spent; they hold 1/Q, r and e.
+            d_h, d_c = partials[:, t]
+            inv_q, r, e = np.reciprocal(q, q), v, alag
+            np.multiply(w, inv_h, r)
+            np.multiply(cdf_w, inv_z1, e)
+            e -= s_over_z2
+            np.add(e, r, d_c)
+            d_c *= pdf_w_over_h
+            d_c *= inv_q
+            np.multiply(cdf_w, inv_q, tmp)
+            np.subtract(_ONE, tmp, tmp)
+            np.subtract(inv_z2, s_over_z2, d_h)
+            d_h *= tmp
+            d_c += d_h
+            np.subtract(_ONE, r, tmp)
+            tmp *= r
+            np.multiply(r, e, d_h)
+            d_h += s_over_z2
+            d_h -= tmp
+            np.multiply(inv_h, inv_h, tmp)
+            d_h -= tmp
+            d_h *= inv_q
+            d_h -= inv_z1
+            d_h *= pdf_w_over_h
+            d_h /= inv_h
+    return logf
 
-        logf = logf.reshape(-1, n_terms)
-        # One pass finds a NaN (np.minimum propagates it) or a term below the floor.
-        n_floored = [0] * len(logf)
-        if not np.minimum.reduce(logf, axis=None) >= _LOG_FLOOR:
-            nan = np.isnan(logf)
-            if nan.any():
-                i, bad = np.argwhere(nan)[0]
-                raise NumericalError(f"log density is NaN at pair index {bad} of candidate {c0 + i}")
-            low = logf < _LOG_FLOOR
-            # A flat count_nonzero per candidate: an axis count casts every flag.
-            n_floored = [np.count_nonzero(row_low) for row_low in low]
-            if partials is not None:
-                partials[:, low[0]] = 0.0
-            np.maximum(logf, _LOG_FLOOR, out=logf)
-        yield c, logf, n_floored
+
+def _floor_terms(logf: np.ndarray, first: int = 0, partials: np.ndarray | None = None) -> None:
+    """Floor the log densities of candidates ``first`` onward, one row of ``logf`` each, in place.
+
+    A NaN raises :class:`NumericalError` naming its term and candidate.
+    Otherwise the terms below the density floor are counted, per candidate
+    at DEBUG, their ``partials`` zeroed for a single candidate, and set to
+    the floor.  The objective calls this only where one minimum over the
+    terms found a NaN or a term below the floor.
+    """
+    nan = np.isnan(logf)
+    if nan.any():
+        i, bad = np.argwhere(nan)[0]
+        raise NumericalError(f"log density is NaN at pair index {bad} of candidate {first + i}")
+    low = logf < _LOG_FLOOR
+    # A flat count_nonzero per candidate: an axis count casts every flag.
+    for row_low in low:
+        count = np.count_nonzero(row_low)
+        if count:
+            logger.debug("pairwise objective floored %d of %d terms", count, logf.shape[1])
+    if partials is not None:
+        partials[:, low[0]] = 0.0
+    np.maximum(logf, _LOG_FLOOR, out=logf)
 
 
 def _theta_gradient(
@@ -542,7 +540,8 @@ def bivariate_density(
         shifted[None, :],
     )
     # The offset is already shifted, so the kernel reads tau as 0.
-    (_, logf, _), = _log_pair_density(pairs, theta.smith, np.array([theta.a]), np.zeros((1, 2)))
+    logf = _log_pair_density(pairs, theta.smith, theta.a, math.log(theta.a), 0.0, 0.0)[None]
+    _floor_terms(logf)
     return float(np.exp(logf[0, 0]))
 
 
@@ -583,6 +582,29 @@ def _prepare_pairs(
     return _prepared_pairs(z1, z2, weight, key, np.repeat(lags, sk.size), dx)
 
 
+# The per-term arrays of a table, in the order of their _PreparedPairs fields.
+_TERM_ARRAYS = ("z1", "z2", "inv_z1", "inv_z2", "log_ratio", "log_jac", "weight")
+
+
+def _stacked(pairs: _PreparedPairs, k: int) -> _PreparedPairs:
+    """``pairs`` stacked ``k`` times, one copy per candidate.
+
+    Copy ``i`` owns the terms from ``i*n_terms`` and the rows from
+    ``i*n_rows`` of the stacked table.  One copy is ``pairs`` itself.
+    """
+    if k == 1:
+        return pairs
+    terms = np.tile(np.stack([getattr(pairs, name) for name in _TERM_ARRAYS]), k)
+    rows = np.tile(np.vstack([pairs.lag, pairs.dx_cols]), k)
+    return _PreparedPairs(
+        **dict(zip(_TERM_ARRAYS, terms)),
+        row=(pairs.row + pairs.lag.size * np.arange(k)[:, None]).ravel(),
+        lag=rows[0],
+        dx=rows[1:].T,
+        dx_cols=rows[1:],
+    )
+
+
 def _eval_st_loglik(
     pairs: _PreparedPairs,
     sigma: SmithParams,
@@ -592,26 +614,54 @@ def _eval_st_loglik(
 ) -> np.ndarray | tuple[float, np.ndarray]:
     """Objective of one pair table at the ``k`` candidates ``(a[i], tau[i])`` under ``sigma``.
 
-    The weighted sum of the floored terms at each candidate, one chunk at a
-    time.  The table's lags decide what the candidates act on: a same-date
-    table has lag 0 on every row, so any ``(a, tau)`` gives it the bits of
-    ``(1, (0, 0))``.  With ``gradient``, for a single candidate, the value
-    and its gradient in ``theta``: the weighted term partials are summed onto
-    table rows and chained by :func:`_theta_gradient`.  The value is the same
-    bits as without it.
+    The weighted sum of the floored terms at each candidate.  One candidate
+    is passed to the kernel as floats, and its terms are summed as one
+    array.  Several are scored on a stacked table (:func:`_stacked`) of as
+    many whole candidates as fit in ``_TERM_CHUNK`` terms, at least one,
+    each candidate's values repeated over its rows and its terms summed
+    along one row of the result; both sums take the same pairwise order, so
+    a candidate has the same bits alone and in a batch.  The table's lags
+    decide what the candidates act on: a same-date table has lag 0 on every
+    row, so any ``(a, tau)`` gives it the bits of ``(1, (0, 0))``.  With
+    ``gradient``, for a single candidate only, the value and its gradient
+    in ``theta``: the weighted term partials are summed onto table rows and
+    chained by :func:`_theta_gradient`.  The value is the same bits as
+    without it.
     """
-    values = np.empty(a.size)
-    partials = np.empty((2, pairs.n_terms)) if gradient else None
-    for c, logf, n_floored in _log_pair_density(pairs, sigma, a, tau, partials):
-        for count in filter(None, n_floored):
-            logger.debug("pairwise objective floored %d of %d terms", count, pairs.n_terms)
+    if a.size == 1:
+        coef = a.item()
+        tau1, tau2 = tau[0].tolist()
+        partials = np.empty((2, pairs.n_terms)) if gradient else None
+        logf = _log_pair_density(pairs, sigma, coef, math.log(coef), tau1, tau2, partials)
+        # One pass finds a NaN (np.minimum propagates it) or a term below the floor.
+        if not np.minimum.reduce(logf) >= _LOG_FLOOR:
+            _floor_terms(logf[None], 0, partials)
+        logf *= pairs.weight
+        values = np.add.reduce(logf, keepdims=True)
+        if not gradient:
+            return values
+        partials *= pairs.weight
+        d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
+        return float(values[0]), _theta_gradient(pairs, sigma, coef, tau[0], d_h, d_c)
+    if gradient:
+        raise ValueError("the gradient is computed for a single candidate")
+    k, n_terms, n_rows = a.size, pairs.n_terms, pairs.lag.size
+    per = max(1, _TERM_CHUNK // n_terms)
+    # math.log, not np.log: each candidate's log a has the bits it has alone.
+    candidates = np.array([a, list(map(math.log, a.tolist())), tau[:, 0], tau[:, 1]])
+    full = _stacked(pairs, per) if k >= per else None
+    values = np.empty(k)
+    for c0 in range(0, k, per):
+        c = slice(c0, c0 + per)
+        m = min(per, k - c0)
+        stack = full if m == per else _stacked(pairs, m)
+        row_values = np.repeat(candidates[:, c], n_rows, axis=1)
+        logf = _log_pair_density(stack, sigma, *row_values).reshape(m, n_terms)
+        if not np.minimum.reduce(logf, axis=None) >= _LOG_FLOOR:
+            _floor_terms(logf, c0)
         logf *= pairs.weight
         values[c] = np.add.reduce(logf, axis=1)
-    if not gradient:
-        return values
-    partials *= pairs.weight
-    d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
-    return float(values[0]), _theta_gradient(pairs, sigma, float(a[0]), tau[0], d_h, d_c)
+    return values
 
 
 def _loglik_at(
@@ -632,9 +682,9 @@ def pairwise_loglik(
 
     Exactly ``C(N,2) * C(M,2)`` terms contribute under default weights: the
     observation at ``(t_i, x_k)`` pairs with the one at ``(t_j, x_l)`` for
-    ``i < j`` and ``k < l``.  The terms are summed by one ``np.sum`` over a
-    contiguous array, whose pairwise reduction order depends only on the
-    term count, so the value is the same bits on every run.
+    ``i < j`` and ``k < l``.  The terms are summed by one pairwise reduction
+    over a contiguous array, whose order depends only on the term count, so
+    the value is the same bits on every run.
     """
     return _loglik_at(_prepare_pairs(data, weights, np.triu_indices(data.n_dates, 1)), theta)
 

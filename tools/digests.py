@@ -29,7 +29,11 @@ and the same-date table, each as a value and as a value with its gradient.
 ``kernel grid`` hashes the same two scan calls on the 6-date record of
 ``square_grid(4)`` (seed 0), where 24 of the 244 candidates put a table
 row on the moving frame (h = 0): the rows the kernel scores at the floor
-``H_COMPLETE_DEP`` of h, which no other line reaches.
+``H_COMPLETE_DEP`` of h, which no other line reaches.  ``kernel terms``
+hashes each term of the ``kernel`` records' two tables alone, as its value
+and theta-gradient at four seeded candidates per record: each term is
+evaluated through ``inference._eval_st_loglik`` on its one-term table, so
+a change of a few ulps in one term shows, where a sum may round it away.
 ``cli`` hashes the files the commands write:
 ``field.csv`` and ``field_meta.json`` of a Smith, a Schlather and a vMF
 config, ``fit.json`` of both schemes, the ``dependence`` table, and
@@ -238,6 +242,37 @@ def kernel() -> str:
     return h.hexdigest()
 
 
+def kernel_terms() -> str:
+    h = hashlib.sha256()
+    evaluate = inference._eval_st_loglik
+    for i, f in enumerate(fit_records()):
+        tables = (
+            inference._prepare_pairs(f, None, np.triu_indices(f.n_dates, 1)),
+            inference._prepare_pairs(f, None, (np.arange(f.n_dates),) * 2),
+        )
+        rng = np.random.default_rng(200 + i)
+        thetas = [
+            ms.ThetaVector(
+                rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0),
+                rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+            )
+            for _ in range(TERM_CANDIDATES)
+        ]
+        for pairs in tables:
+            for j in range(pairs.n_terms):
+                r = pairs.row[j]
+                term = inference._prepared_pairs(
+                    pairs.z1[j : j + 1], pairs.z2[j : j + 1], np.ones(1),
+                    np.zeros(1, dtype=np.intp), pairs.lag[r : r + 1], pairs.dx[r : r + 1],
+                )
+                for theta in thetas:
+                    a, tau = np.array([theta.a]), np.array([[theta.tau1, theta.tau2]])
+                    value, grad = evaluate(term, theta.smith, a, tau, gradient=True)
+                    h.update(np.float64(value).tobytes())
+                    h.update(grad.tobytes())
+    return h.hexdigest()
+
+
 def kernel_grid() -> str:
     h = hashlib.sha256()
     truth = ms.ThetaVector(1.0, 0.0, 1.0, 0.7, -1.0, -1.0)
@@ -246,6 +281,9 @@ def kernel_grid() -> str:
     ))
     return h.hexdigest()
 
+
+# Seeded candidates of each record's ``kernel terms``.
+TERM_CANDIDATES = 4
 
 # Configs of the ``cli`` digest: one per simulator, and a study.
 CLI_INIS = {
@@ -320,4 +358,5 @@ if __name__ == "__main__":
     print("fits", fits())
     print("kernel", kernel())
     print("kernel grid", kernel_grid())
+    print("kernel terms", kernel_terms())
     print("cli", cli())
