@@ -65,8 +65,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "init_a": "float",
         "init_tau": "pair",
         "max_evals": "int",
-        "xtol": "float",
-        "ftol": "float",
         "max_time_lag": "float",
         "max_space_dist": "float",
     },

@@ -11,6 +11,7 @@ field bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ def read_field(path: str | Path) -> SpaceTimeField:
     """Parse a field CSV back into a :class:`SpaceTimeField`.
 
     The file must be date-major with every date carrying the same sites in
-    the same order; violations are reported with their line number.
+    the same order, with finite coordinates and finite positive values;
+    violations are reported with their line number.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -78,9 +80,13 @@ def read_field(path: str | Path) -> SpaceTimeField:
             value = float(parts[-1])
         except ValueError as exc:
             raise FieldFormatError(f"{path}: line {lineno}: {exc}") from None
-        if not value > 0:
+        if not all(map(math.isfinite, coord)):
             raise FieldFormatError(
-                f"{path}: line {lineno}: value must be positive, got {value!r}"
+                f"{path}: line {lineno}: site coordinates must be finite, got {coord!r}"
+            )
+        if not 0 < value < math.inf:
+            raise FieldFormatError(
+                f"{path}: line {lineno}: value must be finite and positive, got {value!r}"
             )
         if not dates or t != dates[-1]:
             dates.append(t)

@@ -15,9 +15,10 @@ every ``phi/h`` term of the first partials, leaving ``-V_1 = Phi(w)/z1**2``,
 
 (Padoan, Ribatet & Sisson, JASA 2010, use the same reduction for the
 spatial pair, ``a**l = 1``).  Every pair takes it, with ``h`` floored at
-``H_COMPLETE_DEP``; off the line ``z2 = a**l z1``, a pair on the moving frame
-(``h = 0``) then gets the complete-dependence law to rounding: an
-independent Frechet product on ``z2 > a**l z1`` and zero below.
+``_H_FLOOR`` (``spatial.H_COMPLETE_DEP``); off the line ``z2 = a**l z1``, a
+pair on the moving frame (``h = 0``) then gets the complete-dependence law
+to rounding: an independent Frechet product on ``z2 > a**l z1`` and zero
+below.
 
 There is one objective, keyed by its pair table.  It sums ``log f``,
 optionally weighted, over the pairs of observation ``(t_i, x_k)`` with
@@ -28,9 +29,11 @@ a same-date pair has temporal weight 1.  The parameter-free parts of every
 term are prepared once per dataset, the site offsets as contiguous columns.
 One flat kernel evaluates the terms of one table, with ``h`` and ``a**l``
 once per distinct (lag, site pair): a single candidate ``(a, tau)`` reaches
-it as floats, and a batch of candidates as the per-row values of a stacked
-table, which repeats the table once per candidate.  Either way a term takes
-the same operations, so its bits do not depend on its table.  One minimum
+it as floats, and a batch of ``m`` candidates as ``(m, 1)`` columns, which
+numpy broadcasting lays over the same table.  Either way a term takes the
+same operations, so its bits do not depend on its table or its batch.  One
+function, :func:`_row_h`, maps a candidate to each row's offset and ``h``,
+for the kernel, the gradient and the fit's floor check alike.  One minimum
 over the terms finds a NaN or a term below the density floor; only then are
 they located and counted.  The table's lags, not the caller, decide what the
 parameters act on: every row of the same-date table has lag 0, so
@@ -75,7 +78,7 @@ from scipy.special import ndtr
 from .errors import DegeneratePairError, NumericalError, ValidationError
 from .geometry import _check_count
 from .spacetime import MarkovParams, SpaceTimeField
-from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams, _mahalanobis
+from .spatial import H_COMPLETE_DEP, SQRT_TWO_PI, SmithParams
 
 __all__ = [
     "ThetaVector",
@@ -93,20 +96,27 @@ logger = logging.getLogger(__name__)
 
 DENSITY_FLOOR = 1e-300
 _LOG_FLOOR = math.log(DENSITY_FLOOR)
+# The floor of h: the kernel scores a row below it at it, the gradient gives
+# such a row no h partial, and a fit ending on one is not converged.
+_H_FLOOR = H_COMPLETE_DEP
 # The kernel's constant operands, as 0-d arrays: numpy 2.4 ufuncs take one in
 # about 0.3 us on a 36-term array, against 0.45 us for a Python float.
-_ONE, _HALF, _MINUS_HALF = np.array(1.0), np.array(0.5), np.array(-0.5)
+_ZERO, _ONE, _HALF, _MINUS_HALF = np.array(0.0), np.array(1.0), np.array(0.5), np.array(-0.5)
 _SQRT_TWO_PI = np.array(SQRT_TWO_PI)
-_H_FLOOR_SQ = np.array(H_COMPLETE_DEP * H_COMPLETE_DEP)
-# Terms evaluated at once, each slice on fresh temporaries, and the most terms
-# of a stacked table.  glibc maps an array of 128 KiB or more afresh, and
-# unmaps it when freed, while its mmap threshold sits at that default.  The
-# largest temporary of a slice is its gather of five per-row values,
-# 5 x 3,072 x 8 bytes = 120 KiB, just under it.  At 8,192 terms (320 KiB) a
-# 36,100-term objective call took about 225 page faults, against none here.
+# Terms times candidates evaluated at once: the kernel takes _TERM_CHUNK // m
+# terms of m candidates per slice, on fresh temporaries, and a batch reaches
+# it in groups of _TERM_CHUNK // n_terms candidates.  glibc maps an array of
+# 128 KiB or more afresh, and unmaps it when freed, at its default mmap
+# threshold; a slice's largest temporary, its gather of five per-row values,
+# takes 5 x 3,072 x 8 bytes = 120 KiB.  At 8,192 (320 KiB) a 36,100-term
+# objective call took about 225 page faults, against none here.
 _TERM_CHUNK = 3072
 # Edge of the first simplex in transformed space, per unit of max(1, |u_d|).
 _SIMPLEX_STEP = 0.25
+# The simplex converges when its coordinate spread about the best vertex, in
+# transformed space, is within _XTOL and its function spread within _FTOL.
+_XTOL = 1e-6
+_FTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -213,33 +223,26 @@ class FitReport:
 class FitOptions:
     """Optimizer and weighting knobs shared by both schemes.
 
-    ``xtol`` and ``ftol`` govern the simplex run, in the transformed
-    parameter space: it converges when the largest coordinate spread of the
-    simplex about its best vertex is within ``xtol`` and its function spread
-    within ``ftol``.  The gradient polish that follows stops by L-BFGS-B's
-    default rule.  ``max_evals`` is a hard cap on the objective evaluations
-    of each optimizer run, its polish included.  The cutoff radii are how a
+    ``max_evals`` is a hard cap on the objective evaluations of each
+    optimizer run, its polish included.  The cutoff radii are how a
     fit is weighted: pairs more than ``max_time_lag`` apart in time or
     ``max_space_dist`` apart in space are dropped.  The time cutoff acts on
     the space-time objective's date pairs ``i < j``; the same-date pairs
     ``i == j`` are lag 0 and stay.  :class:`PairWeights` serves
     :func:`pairwise_loglik` and :func:`spatial_pairwise_loglik` directly.
-    ``max_evals`` must be an integer of at least 1, and the tolerances and
-    any cutoff given finite and positive.
+    ``max_evals`` must be an integer of at least 1, and any cutoff given
+    finite and positive.
     """
 
-    xtol: float = 1e-6
-    ftol: float = 1e-8
     max_evals: int = 5000
     max_time_lag: float | None = None
     max_space_dist: float | None = None
 
     def __post_init__(self) -> None:
         _check_count("max_evals", self.max_evals, 1)
-        cutoffs = [n for n in ("max_time_lag", "max_space_dist") if getattr(self, n) is not None]
-        for name in ("xtol", "ftol", *cutoffs):
+        for name in ("max_time_lag", "max_space_dist"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if value is not None and not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -315,6 +318,27 @@ def _prepared_pairs(
     )
 
 
+def _row_h(
+    pairs: _PreparedPairs,
+    sigma: SmithParams,
+    tau1: float | np.ndarray,
+    tau2: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each table row's offset ``dx - lag*tau``, as two columns, and its unfloored ``h``.
+
+    ``h`` is the offset's Mahalanobis length, as ``spatial._mahalanobis``
+    forms it.  ``tau1`` and ``tau2`` are floats, or ``(m, 1)`` columns of
+    ``m`` candidates for ``(m, n_rows)`` arrays.
+    """
+    det = sigma.det
+    q11, q12, q22 = sigma.sigma22 / det, -sigma.sigma12 / det, sigma.sigma11 / det
+    dx1, dx2 = pairs.dx_cols
+    o1 = dx1 - pairs.lag * tau1
+    o2 = dx2 - pairs.lag * tau2
+    h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, _ZERO))
+    return o1, o2, h
+
+
 def _log_pair_density(
     pairs: _PreparedPairs,
     sigma: SmithParams,
@@ -327,10 +351,11 @@ def _log_pair_density(
     """Log density of every term of the table ``pairs``, before the density floor.
 
     The candidate is the coefficient ``a``, its log and the translation
-    ``tau = (tau1, tau2)``: floats for one candidate, or arrays holding each
-    table row's values for a stacked table of several candidates
-    (:func:`_stacked`).  Per table row, ``h`` is the Mahalanobis length of
-    ``dx - lag*tau``.  With ``c = lag*log a``,
+    ``tau = (tau1, tau2)``: floats for one candidate, which give an
+    ``(n_terms,)`` result, or ``(m, 1)`` columns of ``m`` candidates, which
+    numpy broadcasting lays over the one table for an ``(m, n_terms)``
+    result.  Per table row, ``h`` is the Mahalanobis length of
+    ``dx - lag*tau`` (:func:`_row_h`).  With ``c = lag*log a``,
     ``w = h/2 + (log(z2/z1) - c)/h``, ``v = h - w`` and
     ``s = a**lag Phi(v) + 1 - a**lag``, the density is
 
@@ -342,16 +367,16 @@ def _log_pair_density(
     small ``h``.  Each term costs one ``exp``, two ``ndtr`` and one
     ``log``; everything per row is computed once on the table and
     gathered, ``h`` from the three entries of ``Sigma^{-1}``.  Every row
-    takes this one formula, with ``h`` floored at ``H_COMPLETE_DEP``, which
+    takes this one formula, with ``h`` floored at ``_H_FLOOR``, which
     bounds ``phi(w)/h`` on the moving frame.  The terms are evaluated in
-    slices of ``_TERM_CHUNK``, each on fresh temporaries.  A term takes the
-    same operations in any table and any slice, so its bits depend on
-    neither; :func:`_floor_terms` applies the density floor.
+    slices of ``_TERM_CHUNK // m``, each on fresh temporaries.  A term takes
+    the same operations in any table, any slice and any batch, so its bits
+    depend on none of them; :func:`_floor_terms` applies the density floor.
 
-    A ``(2, n_terms)`` array ``partials`` receives each term's
-    ``d log f/dh`` and ``d log f/dc``; the log densities are computed as
-    without it.  With ``p = phi(w)/h``, ``Q = Phi(w) s/z2 + p``, ``r = w/h``
-    and ``e = Phi(w)/z1 - s/z2``, the same identity leaves
+    An array ``partials`` of shape ``(2,)`` plus the result's receives each
+    term's ``d log f/dh`` and ``d log f/dc``; the log densities are computed
+    as without it.  With ``p = phi(w)/h``, ``Q = Phi(w) s/z2 + p``,
+    ``r = w/h`` and ``e = Phi(w)/z1 - s/z2``, the same identity leaves
 
     ``d/dh = (p h) ((s/z2 + r e - r (1 - r) - 1/h**2)/Q - 1/z1)``,
     ``d/dc = (1/z2 - s/z2) (1 - Phi(w)/Q) + p (e + r)/Q``,
@@ -361,19 +386,10 @@ def _log_pair_density(
     :func:`_theta_gradient` a row below the ``h`` floor no ``h`` partial.
     """
     lag, row = pairs.lag, pairs.row
-    # The entries of sigma.sigma_inv, as scalars.
-    det = sigma.det
-    q11, q12, q22 = sigma.sigma22 / det, -sigma.sigma12 / det, sigma.sigma11 / det
-    # h as spatial._mahalanobis forms it from the offsets dx - lag*tau, and
-    # floored at H_COMPLETE_DEP.  sqrt is monotone and takes the rounded
-    # square of H_COMPLETE_DEP back to it, so flooring the square instead
-    # gives the same bits.
-    dx1, dx2 = pairs.dx_cols
-    o1 = dx1 - lag * tau1
-    o2 = dx2 - lag * tau2
-    h = np.sqrt(np.maximum(q11 * o1**2 + 2.0 * q12 * o1 * o2 + q22 * o2**2, _H_FLOOR_SQ))
-    # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag.
-    per_row = np.empty((5, lag.size))
+    h = np.maximum(_row_h(pairs, sigma, tau1, tau2)[2], _H_FLOOR)
+    # inv_h, w and v without their log(z2/z1)/h part, a**lag, 1 - a**lag:
+    # (5, n_rows) for one candidate, (5, m, n_rows) for m.
+    per_row = np.empty((5, *h.shape))
     inv_h, w0, v0, alag, residual = per_row
     np.divide(_ONE, h, inv_h)
     c_over_h = lag * log_a
@@ -383,16 +399,17 @@ def _log_pair_density(
     w0 -= c_over_h
     np.power(a, lag, alag)
     np.subtract(_ONE, alag, residual)
-    logf = np.empty(row.size)
+    logf = np.empty((*h.shape[:-1], row.size))
+    step = max(1, _TERM_CHUNK // len(h)) if h.ndim > 1 else _TERM_CHUNK
     # 1/Q and the partials built on it overflow only where Q is subnormal,
     # a term far below the floor whose partials are zeroed after.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, row.size, _TERM_CHUNK):
-            t = slice(start, start + _TERM_CHUNK)
+        for start in range(0, row.size, step):
+            t = slice(start, start + step)
             inv_z1, inv_z2 = pairs.inv_z1[t], pairs.inv_z2[t]
             # One gather ("clip": every row index is valid); w and v still
             # lack their log(z2/z1)/h part.
-            gathered = per_row.take(row[t], 1, None, "clip")
+            gathered = per_row.take(row[t], -1, None, "clip")
             inv_h, w, v, alag, residual = gathered
             tmp = pairs.log_ratio[t] * inv_h
             w += tmp
@@ -409,7 +426,7 @@ def _log_pair_density(
             pdf_w_over_h /= _SQRT_TWO_PI
             q = cdf_w * s_over_z2
             q += pdf_w_over_h
-            out = logf[t]
+            out = logf[..., t]
             np.log(q, out)
             np.multiply(cdf_w, inv_z1, tmp)
             tmp += s_over_z2
@@ -418,7 +435,7 @@ def _log_pair_density(
             if partials is None:
                 continue
             # Q and the rows v and a**lag are spent; they hold 1/Q, r and e.
-            d_h, d_c = partials[:, t]
+            d_h, d_c = partials[..., t]
             inv_q, r, e = np.reciprocal(q, q), v, alag
             np.multiply(w, inv_h, r)
             np.multiply(cdf_w, inv_z1, e)
@@ -473,7 +490,8 @@ def _theta_gradient(
     pairs: _PreparedPairs,
     sigma: SmithParams,
     a: float,
-    tau: np.ndarray,
+    tau1: float,
+    tau2: float,
     d_h: np.ndarray,
     d_c: np.ndarray,
 ) -> np.ndarray:
@@ -483,12 +501,13 @@ def _theta_gradient(
     ``o = dx - lag*tau`` and ``b = Sigma^{-1} o`` per row, ``h = sqrt(o'b)``
     gives ``dh/dtau = -lag b/h`` and
     ``dh/d(sigma11, sigma12, sigma22) = -(b1**2, 2 b1 b2, b2**2)/(2h)``;
-    ``dc/da = lag/a``.  A row below the floor of ``h`` has no ``h`` partial.
+    ``dc/da = lag/a``.  A row below ``_H_FLOOR`` has no ``h`` partial.
     """
-    offsets = pairs.dx - pairs.lag[:, None] * tau
-    b = offsets @ sigma.sigma_inv
-    h = _mahalanobis(offsets, sigma.sigma_inv)
-    g = np.divide(d_h, h, out=np.zeros_like(h), where=h >= H_COMPLETE_DEP)
+    o1, o2, h = _row_h(pairs, sigma, tau1, tau2)
+    # C-ordered (n, 2) offsets, not a transposed view: BLAS may round the
+    # product of another layout differently.
+    b = np.column_stack((o1, o2)) @ sigma.sigma_inv
+    g = np.divide(d_h, h, out=np.zeros_like(h), where=h >= _H_FLOOR)
     gb = g[:, None] * b
     return np.array([
         -0.5 * (gb[:, 0] @ b[:, 0]),
@@ -582,29 +601,6 @@ def _prepare_pairs(
     return _prepared_pairs(z1, z2, weight, key, np.repeat(lags, sk.size), dx)
 
 
-# The per-term arrays of a table, in the order of their _PreparedPairs fields.
-_TERM_ARRAYS = ("z1", "z2", "inv_z1", "inv_z2", "log_ratio", "log_jac", "weight")
-
-
-def _stacked(pairs: _PreparedPairs, k: int) -> _PreparedPairs:
-    """``pairs`` stacked ``k`` times, one copy per candidate.
-
-    Copy ``i`` owns the terms from ``i*n_terms`` and the rows from
-    ``i*n_rows`` of the stacked table.  One copy is ``pairs`` itself.
-    """
-    if k == 1:
-        return pairs
-    terms = np.tile(np.stack([getattr(pairs, name) for name in _TERM_ARRAYS]), k)
-    rows = np.tile(np.vstack([pairs.lag, pairs.dx_cols]), k)
-    return _PreparedPairs(
-        **dict(zip(_TERM_ARRAYS, terms)),
-        row=(pairs.row + pairs.lag.size * np.arange(k)[:, None]).ravel(),
-        lag=rows[0],
-        dx=rows[1:].T,
-        dx_cols=rows[1:],
-    )
-
-
 def _eval_st_loglik(
     pairs: _PreparedPairs,
     sigma: SmithParams,
@@ -616,13 +612,13 @@ def _eval_st_loglik(
 
     The weighted sum of the floored terms at each candidate.  One candidate
     is passed to the kernel as floats, and its terms are summed as one
-    array.  Several are scored on a stacked table (:func:`_stacked`) of as
-    many whole candidates as fit in ``_TERM_CHUNK`` terms, at least one,
-    each candidate's values repeated over its rows and its terms summed
-    along one row of the result; both sums take the same pairwise order, so
-    a candidate has the same bits alone and in a batch.  The table's lags
-    decide what the candidates act on: a same-date table has lag 0 on every
-    row, so any ``(a, tau)`` gives it the bits of ``(1, (0, 0))``.  With
+    array.  Several reach the kernel in groups of ``_TERM_CHUNK // n_terms``
+    candidates, at least one, as ``(m, 1)`` columns broadcast over the same
+    table, and each candidate's terms are summed along its row of the
+    result; both sums take the same pairwise order, so a candidate has the
+    same bits alone and in a batch.  The table's lags decide what the
+    candidates act on: a same-date table has lag 0 on every row, so any
+    ``(a, tau)`` gives it the bits of ``(1, (0, 0))``.  With
     ``gradient``, for a single candidate only, the value and its gradient
     in ``theta``: the weighted term partials are summed onto table rows and
     chained by :func:`_theta_gradient`.  The value is the same bits as
@@ -642,21 +638,16 @@ def _eval_st_loglik(
             return values
         partials *= pairs.weight
         d_h, d_c = (np.bincount(pairs.row, p, minlength=pairs.lag.size) for p in partials)
-        return float(values[0]), _theta_gradient(pairs, sigma, coef, tau[0], d_h, d_c)
+        return float(values[0]), _theta_gradient(pairs, sigma, coef, tau1, tau2, d_h, d_c)
     if gradient:
         raise ValueError("the gradient is computed for a single candidate")
-    k, n_terms, n_rows = a.size, pairs.n_terms, pairs.lag.size
-    per = max(1, _TERM_CHUNK // n_terms)
+    per = max(1, _TERM_CHUNK // pairs.n_terms)
     # math.log, not np.log: each candidate's log a has the bits it has alone.
     candidates = np.array([a, list(map(math.log, a.tolist())), tau[:, 0], tau[:, 1]])
-    full = _stacked(pairs, per) if k >= per else None
-    values = np.empty(k)
-    for c0 in range(0, k, per):
+    values = np.empty(a.size)
+    for c0 in range(0, a.size, per):
         c = slice(c0, c0 + per)
-        m = min(per, k - c0)
-        stack = full if m == per else _stacked(pairs, m)
-        row_values = np.repeat(candidates[:, c], n_rows, axis=1)
-        logf = _log_pair_density(stack, sigma, *row_values).reshape(m, n_terms)
+        logf = _log_pair_density(pairs, sigma, *candidates[:, c, None])
         if not np.minimum.reduce(logf, axis=None) >= _LOG_FLOOR:
             _floor_terms(logf, c0)
         logf *= pairs.weight
@@ -823,7 +814,7 @@ def _nelder_mead(
 
     ``objective(u)`` is the value and ``objective(u, gradient=True)`` the
     value and its gradient.  scipy's Nelder-Mead explores from ``init`` until
-    its simplex meets ``opts.xtol`` and ``opts.ftol`` or the budget is spent.
+    its simplex meets ``_XTOL`` and ``_FTOL`` or the budget is spent.
     A run that stops before its budget is polished by scipy's L-BFGS-B with
     the gradient, from the simplex's best vertex, on the rest of the budget;
     the polish stops by L-BFGS-B's default rule.  The better point is kept,
@@ -857,8 +848,8 @@ def _nelder_mead(
     simplex = np.vstack([u, u + np.diag(_SIMPLEX_STEP * np.maximum(1.0, np.abs(u)))])
     run = minimize(step, u, method="Nelder-Mead", options={
         "initial_simplex": simplex,
-        "xatol": opts.xtol,
-        "fatol": opts.ftol,
+        "xatol": _XTOL,
+        "fatol": _FTOL,
         "maxfev": opts.max_evals - evals,
     })
     success = bool(run.success)
@@ -1003,6 +994,11 @@ def _a_is_interior(a: float) -> bool:
     return _A_BOUNDARY_TOL < a < 1.0 - _A_BOUNDARY_TOL
 
 
+def _on_h_floor(pairs: _PreparedPairs, theta: ThetaVector) -> bool:
+    """Whether ``theta`` puts a row of ``pairs`` below ``_H_FLOOR``, on a spike's plateau."""
+    return bool(np.any(_row_h(pairs, theta.smith, theta.tau1, theta.tau2)[2] < _H_FLOOR))
+
+
 def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int) -> FitReport:
     """Run the stages of ``scheme`` from ``init`` on pair tables built once.
 
@@ -1014,7 +1010,7 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
     next stage, and the last stage's value is the reported log likelihood.
     ``iterations`` sums every run of every stage; ``converged`` needs every
     stage's best run to have converged, ``a`` to lie off its clamp and every
-    space-time row to lie off the ``H_COMPLETE_DEP`` floor of ``h``.
+    space-time row to lie off the floor ``_H_FLOOR`` of ``h``.
     """
     weights = PairWeights.cutoff(
         data.dates, data.sites.coords, opts.max_time_lag, opts.max_space_dist
@@ -1041,15 +1037,13 @@ def _fit(data: SpaceTimeField, init: ThetaVector, opts: FitOptions, scheme: int)
         iterations += sum(r.nfev for r in runs)
         converged = converged and best.success
     theta_hat = ThetaVector.from_array(theta)
-    # A row below the floor of h sits on the plateau of a likelihood spike.
-    offsets = st_pairs.dx - st_pairs.lag[:, None] * theta[4:]
-    on_floor = np.any(_mahalanobis(offsets, theta_hat.smith.sigma_inv) < H_COMPLETE_DEP)
+    converged = converged and _a_is_interior(theta_hat.a) and not _on_h_floor(st_pairs, theta_hat)
     return FitReport(
         theta_hat=theta_hat,
         loglik=-best.fun,
         n_pairs=st_pairs.n_terms,
         iterations=iterations,
-        converged=converged and _a_is_interior(theta_hat.a) and not on_floor,
+        converged=converged,
         scheme=scheme,
     )
 

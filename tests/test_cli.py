@@ -227,6 +227,21 @@ def test_missing_field_file_exits_with_io_code(tmp_path, sim_config):
     assert code == 3
 
 
+def test_non_finite_field_value_exits_with_io_code(tmp_path, sim_config, capsys):
+    # An infinite value is a format error at its own line, not a bad config.
+    field = tmp_path / "field.csv"
+    field.write_text(
+        "t,x1,x2,value\n1,0.0,0.0,1.0\n1,1.0,0.0,inf\n2,0.0,0.0,1.0\n2,1.0,0.0,2.0\n",
+        encoding="utf-8",
+    )
+    code = main([
+        "fit", "--config", str(sim_config), "--field", str(field),
+        "--out", str(tmp_path / "fit.json"),
+    ])
+    assert code == 3
+    assert f"{field}: line 3: value must be finite" in capsys.readouterr().err
+
+
 def test_fit_budget_of_zero_exits_with_validation_code(tmp_path, sim_config):
     assert main(["simulate", "--config", str(sim_config), "--out", str(tmp_path / "sim")]) == 0
     cfg = tmp_path / "zero.ini"

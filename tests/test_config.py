@@ -65,6 +65,13 @@ def test_unknown_key_lists_known_keys(tmp_path):
     assert "lag" in msg and "lags" in msg
 
 
+@pytest.mark.parametrize("key", ["xtol", "ftol"])
+def test_simplex_tolerances_are_not_fit_keys(tmp_path, key):
+    # The simplex tolerances are constants of the fit, not settings.
+    with pytest.raises(ValidationError, match=f"unknown key '{key}' in \\[fit\\]"):
+        load_config(_write(tmp_path, BASE + f"\n[fit]\n{key} = 1e-5\n"))
+
+
 def test_bad_value_names_section_and_key(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_config(_write(tmp_path, BASE.replace("a = 0.7", "a = fast")))
@@ -142,10 +149,10 @@ def test_fit_config_takes_unset_keys_from_the_neutral_start_and_fit_options(tmp_
     fc = build_fit_config(load_config(_write(tmp_path, BASE)), scheme=2)
     assert fc.init == ThetaVector(1.0, 0.0, 1.0, 0.5, 0.0, 0.0)
     assert fc.options == FitOptions()
-    text = BASE + "\n[fit]\nscheme = 1\ninit_sigma22 = 2.0\ninit_tau = -0.5, 0.25\nxtol = 1e-5\n"
+    text = BASE + "\n[fit]\nscheme = 1\ninit_sigma22 = 2.0\ninit_tau = -0.5, 0.25\nmax_evals = 300\n"
     fc = build_fit_config(load_config(_write(tmp_path, text)))
     assert fc.init == ThetaVector(1.0, 0.0, 2.0, 0.5, -0.5, 0.25)
-    assert fc.options == FitOptions(xtol=1e-5)
+    assert fc.options == FitOptions(max_evals=300)
 
 
 def test_fit_scheme_must_be_one_or_two(tmp_path):

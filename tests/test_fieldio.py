@@ -62,6 +62,13 @@ def test_rewrite_of_read_field_is_identical_bytes(tmp_path, smith_identity, mark
         ),
         # A blank line still counts: the bad row is the file's sixth line.
         (["t,x1,x2,value", "1,0,0,1", "", "1,1,0,1", "2,0,0,1", "2,2,0,1"], "line 6:"),
+        # Non-finite cells are reported at their own line.
+        (["t,x1,x2,value", "1,0,0,1", "1,1,0,inf"], "line 3: value must be finite"),
+        (
+            ["t,x1,x2,value", "1,0,0,1", "1,1,0,1", "2,0,0,1", "2,nan,0,1"],
+            "line 5: site coordinates must be finite",
+        ),
+        (["t,x1,x2,value", "1,0,inf,1", "1,1,0,1"], "line 2: site coordinates must be finite"),
     ],
 )
 def test_malformed_files_are_rejected_with_location(tmp_path, lines, fragment):

@@ -46,10 +46,10 @@ from maxstorm.inference import (
     _log_pair_density,
     _loglik_at,
     _nelder_mead,
+    _on_h_floor,
     _prepare_pairs,
     _prepared_pairs,
     _short_lag_pairs,
-    _stacked,
     _stage_objective,
     _temporal_start_candidates,
     _to_free,
@@ -357,7 +357,7 @@ def _bits(x):
 class TestTermBits:
     # A term's log density and partials depend on its own values and its
     # table row alone, not on the table around it, the kernel's slices or a
-    # stacked batch: the `kernel terms` digest hashes one-term tables.
+    # batch of candidates: the `kernel terms` digest hashes one-term tables.
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -377,7 +377,7 @@ class TestTermBits:
         theta = [_random_theta(rng.random(6)) for _ in range(k)]
         a = np.array([t[3] for t in theta])
         tau = np.array([t[4:] for t in theta])
-        n, n_rows = pairs.n_terms, pairs.lag.size
+        n = pairs.n_terms
 
         def terms(table, i):
             partials = np.empty((2, table.n_terms))
@@ -393,16 +393,14 @@ class TestTermBits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inference, "_TERM_CHUNK", chunk)
             full = [terms(pairs, i) for i in range(k)]
-            stack_partials = np.empty((2, k * n))
-            per_row = np.repeat(
-                np.array([a, np.array([math.log(x) for x in a]), tau[:, 0], tau[:, 1]]), n_rows, axis=1
-            )
-            stacked = _log_pair_density(_stacked(pairs, k), sigma, *per_row, stack_partials)
+            # All k candidates at once, as (k, 1) columns over the same table.
+            batch_partials = np.empty((2, k, n))
+            columns = np.array([a, [math.log(x) for x in a], tau[:, 0], tau[:, 1]])[:, :, None]
+            batch = _log_pair_density(pairs, sigma, *columns, batch_partials)
             for i in range(k):
                 logf, partials = full[i]
-                cut = slice(i * n, (i + 1) * n)
-                assert _bits(stacked[cut]) == _bits(logf)
-                assert _bits(stack_partials[:, cut]) == _bits(partials)
+                assert _bits(batch[i]) == _bits(logf)
+                assert _bits(batch_partials[:, i]) == _bits(partials)
                 sub_logf, sub_partials = terms(sub, i)
                 assert _bits(sub_logf) == _bits(logf[keep])
                 assert _bits(sub_partials) == _bits(partials[:, keep])
@@ -415,6 +413,40 @@ class TestTermBits:
                     one_logf, one_partials = terms(one, i)
                     assert _bits(one_logf) == _bits(logf[j : j + 1])
                     assert _bits(one_partials) == _bits(partials[:, j : j + 1])
+
+
+class TestHFloor:
+    def test_one_constant_moves_every_floor_rule(self, monkeypatch):
+        # One lag-1 term on the singular line z2 = a z1, on a row at h = 5e-4
+        # (Sigma = I, tau = 0), and the same term on a row at h = 1e-3.
+        a, sigma = 0.5, SmithParams(1.0, 0.0, 1.0)
+        theta = ThetaVector(1.0, 0.0, 1.0, a, 0.0, 0.0)
+
+        def table(h):
+            return _prepared_pairs(
+                np.array([1.0]), np.array([0.5]), np.ones(1), np.zeros(1, dtype=np.intp),
+                np.array([1.0]), np.array([[h, 0.0]]),
+            )
+
+        def rules(pairs):
+            logf = _log_pair_density(pairs, sigma, a, math.log(a), 0.0, 0.0)
+            _, grad = _eval_st_loglik(pairs, sigma, np.array([a]), np.zeros((1, 2)), gradient=True)
+            return logf, grad, _on_h_floor(pairs, theta)
+
+        low, high = table(5e-4), table(1e-3)
+        logf, grad, on_floor = rules(low)
+        assert _bits(logf) != _bits(rules(high)[0])
+        # Offsets (h, 0) under the identity move h through sigma11 and tau1 alone.
+        assert grad[0] != 0.0 and grad[4] != 0.0
+        assert not on_floor
+        monkeypatch.setattr(inference, "_H_FLOOR", 1e-3)
+        logf, grad, on_floor = rules(low)
+        # The kernel scores the row at the floor, the gradient gives it no h
+        # partial (a keeps its c partial), and the floor check flags it.
+        assert _bits(logf) == _bits(rules(high)[0])
+        assert np.all(grad[[0, 1, 2, 4, 5]] == 0.0) and grad[3] != 0.0
+        assert on_floor
+        assert not rules(high)[2]
 
 
 def _random_theta(u):
@@ -897,36 +929,33 @@ class TestOneObjective:
             assert np.all(_eval_st_loglik(pairs, sigma, a, tau) == want)
 
 
+# Explicit ids, so that a case keeps its name when another case goes.
+_BAD_OPTIONS = {
+    0: {"max_evals": 0},
+    1: {"max_evals": -5},
+    2: {"max_evals": 2.5},
+    3: {"max_evals": 100.0},
+    4: {"max_evals": True},
+    12: {"max_time_lag": 0.0},
+    13: {"max_time_lag": -1.0},
+    14: {"max_time_lag": math.inf},
+    15: {"max_time_lag": math.nan},
+    16: {"max_space_dist": 0.0},
+    17: {"max_space_dist": -2.0},
+    18: {"max_space_dist": math.inf},
+}
+
+
 class TestFitOptions:
-    @pytest.mark.parametrize("bad", [
-        {"max_evals": 0},
-        {"max_evals": -5},
-        {"max_evals": 2.5},
-        {"max_evals": 100.0},
-        {"max_evals": True},
-        {"xtol": 0.0},
-        {"xtol": -1.0},
-        {"xtol": math.nan},
-        {"xtol": math.inf},
-        {"ftol": 0.0},
-        {"ftol": -1e-8},
-        {"ftol": math.nan},
-        {"max_time_lag": 0.0},
-        {"max_time_lag": -1.0},
-        {"max_time_lag": math.inf},
-        {"max_time_lag": math.nan},
-        {"max_space_dist": 0.0},
-        {"max_space_dist": -2.0},
-        {"max_space_dist": math.inf},
-    ])
+    @pytest.mark.parametrize(
+        "bad", list(_BAD_OPTIONS.values()), ids=[f"bad{i}" for i in _BAD_OPTIONS]
+    )
     def test_values_that_break_the_contract_rejected(self, bad):
         with pytest.raises(ValidationError):
             FitOptions(**bad)
 
     def test_valid_values_accepted(self):
-        opts = FitOptions(
-            xtol=1e-3, ftol=2, max_evals=np.int64(1), max_time_lag=1, max_space_dist=0.5
-        )
+        opts = FitOptions(max_evals=np.int64(1), max_time_lag=1, max_space_dist=0.5)
         assert opts.max_evals == 1
 
 
@@ -1203,18 +1232,26 @@ class TestNelderMead:
 
     def test_polish_keeps_the_hard_budget(self):
         # The polish stops at the budget even inside a line search, and the
-        # best point it saw is kept.
-        whole, whole_calls = _recorded(_with_gradient(_rosen, _rosen_gradient))
-        _nelder_mead(whole, np.array([-1.2, 1.0]), FitOptions(xtol=1e-2, ftol=1e-2))
+        # best point it saw is kept.  On a steep Rosenbrock the polish's
+        # first trial step overshoots and its line search backtracks: the
+        # budget ends the polish at that backtracking call.
+        def steep(x):
+            return 1e5 * _rosen(x)
+
+        def steep_gradient(x):
+            return 1e5 * _rosen_gradient(x)
+
+        whole, whole_calls = _recorded(_with_gradient(steep, steep_gradient))
+        _nelder_mead(whole, np.array([-1.2, 1.0]), FitOptions())
         n_simplex = [g for g, _ in whole_calls].index(True)
-        budget = n_simplex + 3
-        objective, calls = _recorded(_with_gradient(_rosen, _rosen_gradient))
-        report = _nelder_mead(
-            objective, np.array([-1.2, 1.0]), FitOptions(xtol=1e-2, ftol=1e-2, max_evals=budget)
-        )
+        polish = [steep(u) for _, u in whole_calls[n_simplex:]]
+        assert len(polish) > 3 and polish[1] > polish[0] > polish[2]
+        budget = n_simplex + 2
+        objective, calls = _recorded(_with_gradient(steep, steep_gradient))
+        report = _nelder_mead(objective, np.array([-1.2, 1.0]), FitOptions(max_evals=budget))
         assert report.nfev == len(calls) == budget
         assert not report.success
-        assert report.fun == min(_rosen(u) for _, u in calls)
+        assert report.fun == min(steep(u) for _, u in calls)
 
 
 class TestFits:

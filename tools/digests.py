@@ -287,7 +287,7 @@ TERM_CANDIDATES = 4
 
 # Configs of the ``cli`` digest: one per simulator, and a study.
 CLI_INIS = {
-    "smith": INI + "[fit]\nmax_evals = 300\nxtol = 1e-5\ninit_tau = -0.5, -0.5\n"
+    "smith": INI + "[fit]\nmax_evals = 300\ninit_tau = -0.5, -0.5\n"
     "[dependence]\nlags = 0:0,0 ; 1:-1,-1 ; 2:3,0.5 ; 40:0,0\nbin_radius = 2.5\n",
     "schlather": """[model]\nkind = schlather\nc1 = 2.0\nc2 = 1.0
 [temporal]\na = 0.6\ntau = 0.5, -1
